@@ -79,10 +79,9 @@ def cmd_compile(args) -> int:
         max_iterations=args.max_iter,
         clause_budget=args.clause_budget,
     )
-    result, steps = prime_implicates_traced(kb, config)
-    if args.trace:
-        for step in steps:
-            print(json.dumps(step.to_json(), sort_keys=True))
+    result, steps = prime_implicates_traced(kb, config, trace=args.trace)
+    for step in steps:
+        print(json.dumps(step.to_json(), sort_keys=True))
     if args.json:
         print(json.dumps(result.to_json(), indent=2, sort_keys=False))
     else:
@@ -200,6 +199,10 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except BudgetExceeded as e:
         print(f"kprime: {type(e).__name__}: {e}", file=sys.stderr)
+        return BUDGET_ERROR
+    except RecursionError:
+        # input nested deeper than the interpreter's stack allows
+        print("kprime: RecursionDepthExceeded: input nested too deep", file=sys.stderr)
         return BUDGET_ERROR
     except ValueError as e:
         print(f"kprime: {e}", file=sys.stderr)

@@ -244,6 +244,7 @@ def prime_implicates_traced(
     u: Cnf,
     config: PicConfig | None = None,
     oracle: EntailmentOracle | None = None,
+    trace: bool = True,
 ):
     """Run the compilation loop; returns (result, resolution steps per stage).
 
@@ -252,7 +253,8 @@ def prime_implicates_traced(
     by entailment inside the loop can cut off derivations (a clause a
     premise entails may still have resolvents nothing else reaches), so the
     entailment-based residue runs once, on the fixpoint, to minimize the
-    answer; its removals appear as a final trace record.
+    answer; its removals appear as a final trace record.  Derivations are
+    kept and ranked only with trace; without it the steps are ().
     """
     config = config or PicConfig()
     oracle = oracle or _DEFAULT_ORACLE
@@ -268,12 +270,16 @@ def prime_implicates_traced(
         iterations = stage
         try:
             closure, stage_steps = closure_step_traced(
-                current, clause_budget=config.clause_budget, max_depth=config.max_depth
+                current,
+                clause_budget=config.clause_budget,
+                max_depth=config.max_depth,
+                trace=trace,
             )
         except BudgetExceeded as e:
             raise type(e)(e.args[0], stage=stage) from e
         kept, dropped = subsumption_reduce(closure)
-        steps.extend(stage_steps)
+        if trace:
+            steps.extend(stage_steps)
         records.append(StageRecord(stage, len(closure), len(kept), dropped))
         new = frozenset(kept)
         if new == current:
@@ -300,7 +306,7 @@ def prime_implicates(
     oracle: EntailmentOracle | None = None,
 ) -> PicResult:
     """Compile a knowledge base into its prime implicate set."""
-    return prime_implicates_traced(u, config, oracle)[0]
+    return prime_implicates_traced(u, config, oracle, trace=False)[0]
 
 
 def covering_implicate(

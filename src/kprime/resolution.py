@@ -22,7 +22,10 @@ no-successor-or-witness consequences.
 
 The one-step closure of a clause set adds every resolvent of every pair
 (including a clause with itself) and of every single clause; saturation
-across steps is the compiler's job, not this module's.
+across steps is the compiler's job, not this module's.  The rules yield
+conclusions one at a time, and the closure checks its clause budget per
+distinct conclusion, so a capped layer stops one clause past the cap.
+Derivations are kept and ranked only when a trace is asked for.
 """
 
 from __future__ import annotations
@@ -98,15 +101,13 @@ def _wrap_gamma(a: Clause, core: ResolutionStep, rem: Clause) -> ResolutionStep:
     return ResolutionStep("gamma-or", (a,), conclusion, (core,))
 
 
-def _sigma(a: Clause, b: Clause, depth: int) -> list:
+def _sigma(a: Clause, b: Clause, depth: int):
     if depth < 0:
         raise RecursionDepthExceeded("resolvent search nested too deep")
-    steps = []
-
     if a.is_bottom or b.is_bottom:
         # a bottom premise resolves the pair away entirely
-        steps.append(ResolutionStep("A1'", (a, b), BOTTOM_CLAUSE))
-        return steps
+        yield ResolutionStep("A1'", (a, b), BOTTOM_CLAUSE)
+        return
 
     for lit in sorted(a.literals, key=lambda l: (l.variable, not l.positive)):
         comp = lit.negate()
@@ -115,7 +116,7 @@ def _sigma(a: Clause, b: Clause, depth: int) -> list:
         core = ResolutionStep("A1", (_unit_lit(lit), _unit_lit(comp)), BOTTOM_CLAUSE)
         rem_a = Clause(a.literals - {lit}, a.boxes, a.diamonds)
         rem_b = Clause(b.literals - {comp}, b.boxes, b.diamonds)
-        steps.append(_wrap_sigma(a, b, core, rem_a, rem_b))
+        yield _wrap_sigma(a, b, core, rem_a, rem_b)
 
     for da in sorted_clauses(a.boxes):
         for db in sorted_clauses(b.boxes):
@@ -126,7 +127,7 @@ def _sigma(a: Clause, b: Clause, depth: int) -> list:
                 )
                 rem_a = Clause(a.literals, a.boxes - {da}, a.diamonds)
                 rem_b = Clause(b.literals, b.boxes - {db}, b.diamonds)
-                steps.append(_wrap_sigma(a, b, core, rem_a, rem_b))
+                yield _wrap_sigma(a, b, core, rem_a, rem_b)
 
     for x, y in ((a, b), (b, a)):
         for d in sorted_clauses(x.boxes):
@@ -145,7 +146,7 @@ def _sigma(a: Clause, b: Clause, depth: int) -> list:
                 )
                 rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
                 rem_y = Clause(y.literals, y.boxes, frozenset())
-                steps.append(_wrap_sigma(a, b, core, rem_x, rem_y))
+                yield _wrap_sigma(a, b, core, rem_x, rem_y)
             for s in sorted(y.diamonds, key=lambda t: tuple(sorted(map(clause_key, t)))):
                 rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
                 rem_y = Clause(y.literals, y.boxes, y.diamonds - {s})
@@ -159,15 +160,12 @@ def _sigma(a: Clause, b: Clause, depth: int) -> list:
                             conclusion,
                             (inner,),
                         )
-                        steps.append(_wrap_sigma(a, b, core, rem_x, rem_y))
-
-    return steps
+                        yield _wrap_sigma(a, b, core, rem_x, rem_y)
 
 
-def _gamma(a: Clause, depth: int) -> list:
+def _gamma(a: Clause, depth: int):
     if depth < 0:
         raise RecursionDepthExceeded("resolvent search nested too deep")
-    steps = []
 
     for d in sorted_clauses(a.boxes):
         rem = Clause(a.literals, a.boxes - {d}, a.diamonds)
@@ -182,11 +180,11 @@ def _gamma(a: Clause, depth: int) -> list:
             )
         )
         core = ResolutionStep("gamma-dichotomy", (_unit_box(d),), dichotomy)
-        steps.append(_wrap_gamma(a, core, rem))
+        yield _wrap_gamma(a, core, rem)
         for inner in _gamma(d, depth - 1):
             conclusion = simplify(Clause(boxes=frozenset((inner.conclusion,))))
             core = ResolutionStep("gamma-box", (_unit_box(d),), conclusion, (inner,))
-            steps.append(_wrap_gamma(a, core, rem))
+            yield _wrap_gamma(a, core, rem)
 
     for s in sorted(a.diamonds, key=lambda t: tuple(sorted(map(clause_key, t)))):
         rem = Clause(a.literals, a.boxes, a.diamonds - {s})
@@ -199,7 +197,7 @@ def _gamma(a: Clause, depth: int) -> list:
                     core = ResolutionStep(
                         "gamma-diamond1", (_unit_dia(s),), conclusion, (inner,)
                     )
-                    steps.append(_wrap_gamma(a, core, rem))
+                    yield _wrap_gamma(a, core, rem)
         for e in members:
             for inner in _gamma(e, depth - 1):
                 new_set = simplify_cnf(s | {inner.conclusion})
@@ -207,9 +205,7 @@ def _gamma(a: Clause, depth: int) -> list:
                 core = ResolutionStep(
                     "gamma-diamond2", (_unit_dia(s),), conclusion, (inner,)
                 )
-                steps.append(_wrap_gamma(a, core, rem))
-
-    return steps
+                yield _wrap_gamma(a, core, rem)
 
 
 def _step_signature(step: ResolutionStep):
@@ -242,30 +238,48 @@ def gamma_resolvents(a: Clause, max_depth: int = DEFAULT_MAX_DEPTH) -> tuple:
     return _dedup(_gamma(a, max_depth))
 
 
+def _layer(base, max_depth: int):
+    """Every derivation of one closure layer, pairs first, in clause-key order."""
+    for i, a in enumerate(base):
+        for b in base[i:]:
+            yield from _sigma(a, b, max_depth)
+        yield from _gamma(a, max_depth)
+
+
 def closure_step_traced(
     clauses,
     clause_budget: int | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
+    trace: bool = True,
 ):
     """One closure layer with derivations: the set plus every one-step resolvent.
 
-    Returns (clause set, steps for conclusions not already in the input).
-    Distinct pairs are independent, so the merge is order-insensitive.
+    Returns (clause set, steps for conclusions not already in the input),
+    one step per new conclusion.  Pairs are visited in clause-key order and
+    each conclusion joins the set as the rules produce it, so the clause
+    budget fires as soon as the set holds clause_budget + 1 clauses, before
+    the rest of the layer is built.  With trace, every derivation of a new
+    conclusion is kept and the smallest is returned, ordered by conclusion
+    key; without it, the first derivation found stands and none is ranked.
     """
     base = sorted_clauses(set(clauses))
     out = set(base)
-    steps = []
-    for i, a in enumerate(base):
-        for b in base[i:]:
-            steps.extend(_sigma(a, b, max_depth))
-        steps.extend(_gamma(a, max_depth))
-    fresh = _dedup(s for s in steps if s.conclusion not in out)
-    out.update(s.conclusion for s in fresh)
-    if clause_budget is not None and len(out) > clause_budget:
-        raise ClauseBudgetExceeded(
-            f"closure grew to {len(out)} clauses, over the budget of {clause_budget}"
-        )
-    return frozenset(out), fresh
+    first = []
+    every = []
+    for step in _layer(base, max_depth):
+        if trace:
+            every.append(step)
+        if step.conclusion not in out:
+            out.add(step.conclusion)
+            first.append(step)
+            if clause_budget is not None and len(out) > clause_budget:
+                raise ClauseBudgetExceeded(
+                    f"closure grew to {len(out)} clauses, over the budget of {clause_budget}"
+                )
+    if trace:
+        new = out.difference(base)
+        return frozenset(out), _dedup(s for s in every if s.conclusion in new)
+    return frozenset(out), tuple(first)
 
 
 def closure_step(
@@ -274,4 +288,4 @@ def closure_step(
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> frozenset:
     """One-step closure: input plus all pairwise and single-clause resolvents."""
-    return closure_step_traced(clauses, clause_budget, max_depth)[0]
+    return closure_step_traced(clauses, clause_budget, max_depth, trace=False)[0]

@@ -62,6 +62,16 @@ def test_compile_trace_emits_step_lines(capsys):
     json.loads("\n".join(lines))  # the result object remains parseable
 
 
+def test_compile_json_is_the_same_with_and_without_trace(capsys):
+    _, plain, _ = run_cli(capsys, "compile", str(EXAMPLE), "--json")
+    _, traced, _ = run_cli(capsys, "compile", str(EXAMPLE), "--json", "--trace")
+    lines = traced.splitlines(keepends=True)
+    while lines and lines[0].startswith('{"conclusion"'):
+        lines.pop(0)
+    assert len(lines) < len(traced.splitlines())
+    assert "".join(lines) == plain
+
+
 def test_query_true_and_false(tmp_path, capsys):
     compiled = tmp_path / "compiled.json"
     code, out, _ = run_cli(capsys, "compile", str(EXAMPLE), "--json")
@@ -125,6 +135,22 @@ def test_budget_error_exits_three(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compile", str(kb), "--clause-budget", "1")
     assert code == 3
     assert "budget" in err.lower() or "Budget" in err
+
+
+def test_deep_negation_in_prove_exits_three(capsys):
+    code, out, err = run_cli(capsys, "prove", "~" * 1000 + "p")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deep_box_in_compile_exits_three(tmp_path, capsys):
+    kb = tmp_path / "deep.k"
+    kb.write_text("[]" * 500 + "p\n")
+    code, out, err = run_cli(capsys, "compile", str(kb))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_query_on_non_compiled_file_exits_two(tmp_path, capsys):

@@ -2,11 +2,16 @@ import pytest
 
 from kprime import (
     BOTTOM_CLAUSE,
+    BudgetExceeded,
     ClauseBudgetExceeded,
+    EntailmentOracle,
     PicConfig,
+    PicResult,
+    Tableau,
     answer_query,
     clause_entails,
     closure_step,
+    closure_step_traced,
     covering_implicate,
     is_implicate,
     make_cnf,
@@ -158,6 +163,44 @@ def test_clause_budget_reports_stage():
     with pytest.raises(ClauseBudgetExceeded) as exc:
         prime_implicates(u, PicConfig(clause_budget=1))
     assert exc.value.stage == 1
+
+
+def _compile_outcome(kb, config, trace):
+    try:
+        return prime_implicates_traced(kb, config, EntailmentOracle(Tableau()), trace=trace)
+    except BudgetExceeded as e:
+        return type(e), e.stage
+
+
+def _closure_outcome(kb, budget, trace):
+    try:
+        closure, steps = closure_step_traced(kb, clause_budget=budget, trace=trace)
+    except ClauseBudgetExceeded as e:
+        return str(e)
+    fresh = {s.conclusion for s in steps}
+    assert len(fresh) == len(steps) and fresh == closure - kb
+    return closure, fresh
+
+
+def test_untraced_compile_matches_traced(rng):
+    # shapes and cap of the benchmark's compile mix
+    config = PicConfig(max_iterations=8, clause_budget=30)
+    capped = 0
+    for _ in range(60):
+        vocab = ("p", "q", "r")[: rng.randint(1, 3)]
+        kb = random_kb(
+            rng, vocab, clauses=rng.randint(1, 4), depth=rng.randint(0, 2), width=rng.randint(1, 4)
+        )
+        budget = config.clause_budget
+        assert _closure_outcome(kb, budget, trace=False) == _closure_outcome(kb, budget, trace=True)
+        traced = _compile_outcome(kb, config, trace=True)
+        plain = _compile_outcome(kb, config, trace=False)
+        if isinstance(traced[0], PicResult):
+            assert plain == (traced[0], ())
+        else:
+            capped += 1
+            assert plain == traced
+    assert capped  # the mix reaches the cap
 
 
 def test_config_validation():

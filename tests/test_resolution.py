@@ -165,5 +165,8 @@ def test_clause_budget_on_closure():
     from kprime import ClauseBudgetExceeded
 
     u = make_cnf([cl("p | q"), cl("~p | q"), cl("p | ~q"), cl("~p | ~q")])
-    with pytest.raises(ClauseBudgetExceeded):
-        closure_step(u, clause_budget=4)
+    for budget in (4, 5, 6):
+        with pytest.raises(ClauseBudgetExceeded) as exc:
+            closure_step(u, clause_budget=budget)
+        # the cap fires on the first conclusion past it, not at the end of the layer
+        assert str(exc.value).startswith(f"closure grew to {budget + 1} clauses,")
