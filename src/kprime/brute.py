@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .normalization import simplify_cnf
-from .pic import EntailmentOracle, is_implicate, residue
+from .pic import EntailmentOracle, is_implicate, residue_detailed
 from .syntax import (
     Clause,
     Cnf,
@@ -68,10 +68,6 @@ def enumerate_clauses(vocab, depth: int, width: int):
     yield from _clause_space(tuple(sorted(vocab)), depth, width)
 
 
-def clause_space_size(vocab, depth: int, width: int) -> int:
-    return len(_clause_space(tuple(sorted(vocab)), depth, width))
-
-
 def within_bounds(c: Clause, vocab, depth: int, width: int) -> bool:
     """Whether a clause lies inside the enumerated space for these bounds."""
     vocab = frozenset(vocab)
@@ -104,4 +100,4 @@ def prime_implicates_brute(
     implicates = [
         c for c in enumerate_clauses(vocab, depth, width) if is_implicate(u, c, oracle)
     ]
-    return residue(implicates, oracle)
+    return frozenset(residue_detailed(implicates, oracle)[0])

@@ -1,14 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success (or a true/SAT answer), 1 a false/UNSAT answer from a
-decision subcommand, 2 usage, file or syntax problems, 3 a resource budget
-was exceeded.
+decision subcommand, 2 usage, file or syntax problems (or a closed output
+pipe), 3 a resource budget was exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .brute import prime_implicates_brute
@@ -16,7 +17,7 @@ from .cnf import single_clause, to_cnf
 from .errors import BudgetExceeded, ParseError
 from .normalization import make_cnf, simplify
 from .parser import parse
-from .pic import PicConfig, covering_implicate, prime_implicates_traced
+from .pic import PicConfig, covering_implicate, prime_implicates
 from .selftest import run_all
 from .semantics import satisfiable
 from .syntax import clause_key, clause_length, clause_to_json, clause_from_json
@@ -79,8 +80,8 @@ def cmd_compile(args) -> int:
         max_iterations=args.max_iter,
         clause_budget=args.clause_budget,
     )
-    result, steps = prime_implicates_traced(kb, config, trace=args.trace)
-    for step in steps:
+    result = prime_implicates(kb, config, trace=args.trace)
+    for step in result.steps:
         print(json.dumps(step.to_json(), sort_keys=True))
     if args.json:
         print(json.dumps(result.to_json(), indent=2, sort_keys=False))
@@ -150,9 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a KB file to its prime implicates")
     p.add_argument("kb_file")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="emit the result as JSON")
-    fmt.add_argument("--text", action="store_true", help="emit one clause per line (default)")
+    p.add_argument("--json", action="store_true", help="emit the result as JSON")
     p.add_argument("--trace", action="store_true",
                    help="emit resolution derivations as JSON lines before the result")
     p.add_argument("--max-iter", type=int, default=20, metavar="N")
@@ -190,7 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`); send what is left to
+        # devnull so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return USAGE_ERROR
     except CliError as e:
         print(f"kprime: {e}", file=sys.stderr)
         return e.code

@@ -44,4 +44,4 @@ class TableauBudgetExceeded(BudgetExceeded):
 
 
 class RecursionDepthExceeded(BudgetExceeded):
-    """Resolvent search descended past the configured nesting cap."""
+    """Input or resolvent search nested past a depth cap."""

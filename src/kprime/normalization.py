@@ -1,4 +1,4 @@
-"""Clause simplification and canonical keys.
+"""Clause simplification.
 
 The rewriter applies four rules as a congruence (at every nesting depth)
 until none fires:
@@ -16,7 +16,7 @@ normal form; simplify is idempotent.
 
 from __future__ import annotations
 
-from .syntax import BOTTOM_CLAUSE, Clause, Cnf, clause_key, cnf_key
+from .syntax import BOTTOM_CLAUSE, Clause, Cnf
 
 
 _BOTTOM_CNF = frozenset((BOTTOM_CLAUSE,))
@@ -44,10 +44,6 @@ def simplify_cnf(s) -> Cnf:
     return members
 
 
-def is_normal(c: Clause) -> bool:
-    return simplify(c) == c
-
-
 def make_clause(literals=(), boxes=(), diamonds=()) -> Clause:
     """Build a clause from parts and normalize it."""
     return simplify(
@@ -62,12 +58,3 @@ def make_clause(literals=(), boxes=(), diamonds=()) -> Clause:
 def make_cnf(clauses=()) -> Cnf:
     """Build a normalized clause set (a knowledge base or a diamond body)."""
     return simplify_cnf(frozenset(clauses))
-
-
-def canonical_key(c: Clause):
-    """Comparable key for normal-form clauses; equal keys iff equal clauses."""
-    return clause_key(c)
-
-
-def canonical_cnf_key(s: Cnf):
-    return cnf_key(s)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, RecursionDepthExceeded
 from .syntax import BOT, And, Bottom, Box, Diamond, Formula, Not, Or, Var
 
 _TOKEN_RE = re.compile(
@@ -194,7 +194,10 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse a formula; arrows are expanded away during parsing."""
     parser = _Parser(tokenize(text))
-    out = parser.formula()
+    try:
+        out = parser.formula()
+    except RecursionError:
+        raise RecursionDepthExceeded("formula nested too deep to parse") from None
     if parser.peek().kind != "EOF":
         parser.fail(("EOF", "AND", "OR", "IMP", "IFF"))
     return out

@@ -3,9 +3,11 @@
 The compiler alternates one-step resolution closure with deletion of
 subsumed clauses until the set stops changing (compared by canonical key),
 minimizes the fixpoint with an entailment-based residue, and answers
-queries by scanning the compiled set for a covering clause.  Residue
-keeps, from each equivalence class of the strongest clauses, the
-representative with the smallest (length, key) pair, so the whole
+queries by scanning the compiled set for a covering clause.  One
+antichain routine serves both reductions, parametrised by the dominance
+relation (structural subsumption inside the loop, entailment for the
+residue); it keeps, from each equivalence class of the strongest clauses,
+the representative with the smallest (length, key) pair, so the whole
 pipeline is deterministic for a given input.
 
 Clause-to-clause entailment rides on the tableau; verdicts are cached per
@@ -14,7 +16,7 @@ clause pair because residue and query answering repeat questions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
 from .normalization import simplify, simplify_cnf
@@ -73,9 +75,11 @@ class PicResult:
     iterations: int
     trace: tuple
     converged: bool
+    # derivations of a traced compile; outside ==, so traced and plain results agree
+    steps: tuple = field(default=(), compare=False, repr=False)
 
     def sorted_implicates(self) -> list:
-        return sorted(self.prime_implicates, key=lambda c: (clause_length(c), clause_key(c)))
+        return sorted(self.prime_implicates, key=_residue_order)
 
     def to_json(self) -> dict:
         return {
@@ -136,6 +140,33 @@ def _residue_order(c: Clause):
     return (clause_length(c), clause_key(c))
 
 
+def _antichain(clauses, dominates):
+    """Maximal clauses under a dominance preorder, one per equivalence class.
+
+    Returns (kept, dropped): kept is the antichain, one smallest
+    representative per class, ordered by (length, key); dropped pairs each
+    removed clause with the first kept clause that dominates it.  Clauses
+    are visited in (length, key) order against a front of survivors: a
+    clause some front member dominates is dropped (strictly weaker, or a
+    later equivalent), any other evicts the members it dominates and
+    joins.  dominates must be transitive, so that every visited clause
+    stays dominated by some front member and one pass suffices.
+    """
+    items = sorted(set(clauses), key=_residue_order)
+    front: list = []
+    for c in items:
+        if any(dominates(m, c) for m in front):
+            continue
+        front = [m for m in front if not dominates(c, m)]
+        front.append(c)
+    kept = tuple(front)  # appended in visiting order, so already sorted
+    kept_set = set(kept)
+    dropped = tuple(
+        (c, next(m for m in kept if dominates(m, c))) for c in items if c not in kept_set
+    )
+    return kept, dropped
+
+
 def residue_detailed(
     clauses,
     oracle: EntailmentOracle | None = None,
@@ -149,40 +180,7 @@ def residue_detailed(
     that entails it.
     """
     oracle = oracle or _DEFAULT_ORACLE
-    items = sorted(set(clauses), key=_residue_order)
-
-    def entails(d, c):
-        return oracle.clause_entails(d, c, node_budget)
-
-    front: list = []
-    for c in items:
-        dominated = False
-        for m in front:
-            if entails(m, c):
-                # strictly stronger, or the earlier (hence smaller) equivalent
-                dominated = True
-                break
-        if dominated:
-            continue
-        front = [m for m in front if not entails(c, m)]
-        front.append(c)
-
-    front.sort(key=_residue_order)
-    kept = tuple(front)
-    kept_set = set(kept)
-    dropped = []
-    for c in items:
-        if c in kept_set:
-            continue
-        witness = next(m for m in kept if entails(m, c))
-        dropped.append((c, witness))
-    return kept, tuple(dropped)
-
-
-def residue(clauses, oracle: EntailmentOracle | None = None) -> frozenset:
-    """Subset that covers the input and contains no internal entailments."""
-    kept, _ = residue_detailed(clauses, oracle)
-    return frozenset(kept)
+    return _antichain(clauses, lambda d, c: oracle.clause_entails(d, c, node_budget))
 
 
 def subsumes(d: Clause, c: Clause) -> bool:
@@ -192,7 +190,9 @@ def subsumes(d: Clause, c: Clause) -> bool:
     body of c, and every diamond of d has a counterpart in c whose members
     are all subsumed by members of d's set (the stronger conjunction).
     Unlike entailment this survives resolution: deleting only subsumed
-    clauses inside the saturation loop never cuts off a derivation.
+    clauses inside the saturation loop never cuts off a derivation.  It is
+    a preorder: literal sets nest by inclusion, and box and diamond bodies
+    nest by induction, so it is transitive.
     """
     if d.is_bottom:
         return True
@@ -218,49 +218,31 @@ def subsumption_reduce(clauses):
     Returns (kept, dropped) like residue_detailed, with the subsumer as the
     witness for every dropped clause.
     """
-    items = sorted(set(clauses), key=_residue_order)
-    kept = []
-    for i, c in enumerate(items):
-        dominated = False
-        for j, d in enumerate(items):
-            if i == j:
-                continue
-            if subsumes(d, c) and (j < i or not subsumes(c, d)):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(c)
-    kept_set = set(kept)
-    dropped = []
-    for c in items:
-        if c in kept_set:
-            continue
-        witness = next(d for d in kept if subsumes(d, c))
-        dropped.append((c, witness))
-    return tuple(kept), tuple(dropped)
+    return _antichain(clauses, subsumes)
 
 
-def prime_implicates_traced(
+def prime_implicates(
     u: Cnf,
     config: PicConfig | None = None,
     oracle: EntailmentOracle | None = None,
-    trace: bool = True,
-):
-    """Run the compilation loop; returns (result, resolution steps per stage).
+    trace: bool = False,
+) -> PicResult:
+    """Compile a knowledge base into its prime implicate set.
 
     Each stage closes the set one resolution layer and deletes clauses
     another clause subsumes; the loop stops when the set repeats.  Deleting
     by entailment inside the loop can cut off derivations (a clause a
     premise entails may still have resolvents nothing else reaches), so the
     entailment-based residue runs once, on the fixpoint, to minimize the
-    answer; its removals appear as a final trace record.  Derivations are
-    kept and ranked only with trace; without it the steps are ().
+    answer; its removals appear as a final trace record.  With trace, the
+    result's steps hold the ranked resolution derivations of every stage;
+    without it they are ().
     """
     config = config or PicConfig()
     oracle = oracle or _DEFAULT_ORACLE
     current = simplify_cnf(u)
     if not current:
-        return PicResult(frozenset(), 0, (), True), ()
+        return PicResult(frozenset(), 0, (), True)
 
     records = []
     steps = []
@@ -297,16 +279,9 @@ def prime_implicates_traced(
         records.append(
             StageRecord(iterations + 1, len(current), len(final_kept), final_dropped)
         )
-    return PicResult(frozenset(final_kept), iterations, tuple(records), converged), tuple(steps)
-
-
-def prime_implicates(
-    u: Cnf,
-    config: PicConfig | None = None,
-    oracle: EntailmentOracle | None = None,
-) -> PicResult:
-    """Compile a knowledge base into its prime implicate set."""
-    return prime_implicates_traced(u, config, oracle, trace=False)[0]
+    return PicResult(
+        frozenset(final_kept), iterations, tuple(records), converged, tuple(steps)
+    )
 
 
 def covering_implicate(

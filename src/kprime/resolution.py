@@ -22,7 +22,8 @@ no-successor-or-witness consequences.
 
 The one-step closure of a clause set adds every resolvent of every pair
 (including a clause with itself) and of every single clause; saturation
-across steps is the compiler's job, not this module's.  The rules yield
+across steps is the compiler's job, not this module's.  One routine,
+closure_step_traced, computes it with or without a trace.  The rules yield
 conclusions one at a time, and the closure checks its clause budget per
 distinct conclusion, so a capped layer stops one clause past the cap.
 Derivations are kept and ranked only when a trace is asked for.
@@ -250,9 +251,9 @@ def closure_step_traced(
     clauses,
     clause_budget: int | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    trace: bool = True,
+    trace: bool = False,
 ):
-    """One closure layer with derivations: the set plus every one-step resolvent.
+    """One closure layer: the set plus every one-step resolvent.
 
     Returns (clause set, steps for conclusions not already in the input),
     one step per new conclusion.  Pairs are visited in clause-key order and
@@ -264,28 +265,19 @@ def closure_step_traced(
     """
     base = sorted_clauses(set(clauses))
     out = set(base)
-    first = []
-    every = []
+    steps = []  # with trace every derivation, without it the first per conclusion
     for step in _layer(base, max_depth):
-        if trace:
-            every.append(step)
         if step.conclusion not in out:
             out.add(step.conclusion)
-            first.append(step)
             if clause_budget is not None and len(out) > clause_budget:
                 raise ClauseBudgetExceeded(
                     f"closure grew to {len(out)} clauses, over the budget of {clause_budget}"
                 )
+        elif not trace:
+            continue
+        steps.append(step)
     if trace:
         new = out.difference(base)
-        return frozenset(out), _dedup(s for s in every if s.conclusion in new)
-    return frozenset(out), tuple(first)
+        return frozenset(out), _dedup(s for s in steps if s.conclusion in new)
+    return frozenset(out), tuple(steps)
 
-
-def closure_step(
-    clauses,
-    clause_budget: int | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> frozenset:
-    """One-step closure: input plus all pairwise and single-clause resolvents."""
-    return closure_step_traced(clauses, clause_budget, max_depth, trace=False)[0]

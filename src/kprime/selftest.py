@@ -31,7 +31,7 @@ from .pic import (
     prime_implicates,
     residue_detailed,
 )
-from .resolution import closure_step, sigma_resolvents
+from .resolution import closure_step_traced, sigma_resolvents
 from .semantics import (
     Tableau,
     default_tableau,
@@ -263,7 +263,7 @@ def suite_soundness(seed: int = 2024, kbs: int = 200) -> SuiteResult:
             depth=rng.randint(0, 2),
             width=rng.randint(1, 4),
         )
-        closed = closure_step(kb)
+        closed, _ = closure_step_traced(kb)
         for c in closed:
             checked += 1
             if not is_implicate(kb, c):

@@ -179,9 +179,6 @@ class Tableau:
         model = _tree_to_model(tree, sorted(variables(f)))
         return SatResult.sat(model, model.root)
 
-    def is_satisfiable(self, f: Formula, node_budget: int | None = None) -> bool:
-        return self.satisfiable(f, node_budget).satisfiable
-
     def entails(self, f: Formula, g: Formula, node_budget: int | None = None) -> bool:
         """Local consequence: every pointed model of f satisfies g."""
         return not self.satisfiable(And(f, Not(g)), node_budget).satisfiable

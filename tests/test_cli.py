@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -124,9 +125,10 @@ def test_syntax_error_exits_two(tmp_path, capsys):
 
 
 def test_unknown_flag_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["compile", str(EXAMPLE), "--frobnicate"])
-    assert exc.value.code == 2
+    for flag in ("--frobnicate", "--text"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", str(EXAMPLE), flag])
+        assert exc.value.code == 2
 
 
 def test_budget_error_exits_three(tmp_path, capsys):
@@ -151,6 +153,34 @@ def test_deep_box_in_compile_exits_three(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, backed by a real descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_two(tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(["compile", str(EXAMPLE), "--json", "--trace"])
+    finally:
+        os.close(fd)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_query_on_non_compiled_file_exits_two(tmp_path, capsys):

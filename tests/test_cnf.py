@@ -2,9 +2,9 @@ import pytest
 
 from kprime import (
     ClauseBudgetExceeded,
-    is_normal,
     local_entails,
     parse,
+    simplify,
     single_clause,
     to_cnf,
 )
@@ -48,7 +48,7 @@ def test_clauses_are_normal_and_equivalent(rng):
         if length(g) > 30 or modal_depth(g) > 2:
             continue
         clauses = to_cnf(g)
-        assert all(is_normal(c) for c in clauses)
+        assert all(simplify(c) == c for c in clauses)
         back = cnf_to_formula(clauses)
         assert local_entails(g, back) and local_entails(back, g)
 

@@ -2,7 +2,19 @@ import random
 
 import pytest
 
-from kprime import And, BOT, Box, Diamond, Not, Or, ParseError, Var, parse, render
+from kprime import (
+    And,
+    BOT,
+    Box,
+    Diamond,
+    Not,
+    Or,
+    ParseError,
+    RecursionDepthExceeded,
+    Var,
+    parse,
+    render,
+)
 from kprime.generators import random_formula
 
 P, Q, R = Var("p"), Var("q"), Var("r")
@@ -71,3 +83,10 @@ def test_parse_error_reports_position():
         parse("p &\n& q")
     assert exc.value.line == 2
     assert exc.value.column == 1
+
+
+def test_deep_nesting_is_a_budget_error():
+    assert isinstance(parse("~" * 200 + "p"), Not)  # moderate nesting still parses
+    for text in ("~" * 1000 + "p", "(" * 1000 + "p" + ")" * 1000):
+        with pytest.raises(RecursionDepthExceeded):
+            parse(text)

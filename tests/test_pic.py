@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from kprime import (
@@ -10,22 +12,25 @@ from kprime import (
     Tableau,
     answer_query,
     clause_entails,
-    closure_step,
     closure_step_traced,
     covering_implicate,
     is_implicate,
+    make_clause,
     make_cnf,
     prime_implicates,
-    prime_implicates_traced,
-    residue,
     residue_detailed,
 )
 from kprime.brute import prime_implicates_brute
-from kprime.generators import random_kb
+from kprime.generators import random_clause, random_kb
 from kprime.pic import subsumes, subsumption_reduce
 from kprime.selftest import example_expected, example_kb
+from kprime.syntax import clause_key, clause_length, cnf_key, sorted_clauses
 
 from conftest import cl
+
+
+def residue(clauses):
+    return frozenset(residue_detailed(clauses)[0])
 
 
 def test_clause_entails_examples():
@@ -71,10 +76,67 @@ def test_subsumes_basics():
     assert subsumes(BOTTOM_CLAUSE, cl("p"))
 
 
-def test_subsumption_reduce_keeps_maximal():
+def _weaker(rng, c, vocab):
+    """A clause c subsumes: one disjunct added at the top, in a box body or in a diamond member."""
+    spot = rng.choice(["top"] + ["box"] * bool(c.boxes) + ["dia"] * bool(c.diamonds))
+    if spot == "box":
+        b = rng.choice(sorted_clauses(c.boxes))
+        return make_clause(c.literals, (c.boxes - {b}) | {_weaker(rng, b, vocab)}, c.diamonds)
+    if spot == "dia":
+        s = rng.choice(sorted(c.diamonds, key=cnf_key))
+        m = rng.choice(sorted_clauses(s))
+        weaker_s = (s - {m}) | {_weaker(rng, m, vocab)}
+        return make_clause(c.literals, c.boxes, (c.diamonds - {s}) | {weaker_s})
+    e = random_clause(rng, vocab, 1, 1)
+    return make_clause(c.literals | e.literals, c.boxes | e.boxes, c.diamonds | e.diamonds)
+
+
+def _clause_family(rng, size):
+    """Random clauses (depth <= 2) mixed with weakenings of them, so subsumption is common."""
+    vocab = ("p", "q", "r")[: rng.randint(1, 3)]
+    out = []
+    while len(out) < size:
+        if not out or rng.random() < 0.3:
+            out.append(random_clause(rng, vocab, rng.randint(0, 2), rng.randint(1, 3)))
+        else:
+            out.append(_weaker(rng, rng.choice(out), vocab))
+    return out
+
+
+def test_subsumes_is_transitive(rng):
+    # the antichain's single front pass relies on this
+    chains = 0
+    for _ in range(400):
+        for x, y, z in permutations(dict.fromkeys(_clause_family(rng, 5)), 3):
+            if subsumes(x, y) and subsumes(y, z):
+                chains += 1
+                assert subsumes(x, z)
+    assert chains > 300
+
+
+def _all_pairs_reduce(clauses):
+    """Reference: keep c unless some d subsumes it and is earlier or strictly stronger."""
+    items = sorted(set(clauses), key=lambda c: (clause_length(c), clause_key(c)))
+    return [
+        c
+        for i, c in enumerate(items)
+        if not any(
+            j != i and subsumes(d, c) and (j < i or not subsumes(c, d))
+            for j, d in enumerate(items)
+        )
+    ]
+
+
+def test_subsumption_reduce_keeps_maximal(rng):
     kept, dropped = subsumption_reduce([cl("p"), cl("p | q"), cl("<>(p & q)"), cl("<>p")])
     assert set(kept) == {cl("p"), cl("<>(p & q)")}
     assert {c for c, _ in dropped} == {cl("p | q"), cl("<>p")}
+    for _ in range(300):
+        clauses = _clause_family(rng, rng.randint(1, 12))
+        kept, dropped = subsumption_reduce(clauses)
+        assert list(kept) == _all_pairs_reduce(clauses)
+        assert {c for c, _ in dropped} == set(clauses) - set(kept)
+        assert all(w in kept and subsumes(w, c) for c, w in dropped)
 
 
 def test_prime_implicates_of_empty_kb():
@@ -128,7 +190,7 @@ def test_is_implicate_examples():
 
 def test_fixpoint_stability():
     pi = prime_implicates(example_kb()).prime_implicates
-    assert residue(closure_step(pi)) == pi
+    assert residue(closure_step_traced(pi)[0]) == pi
 
 
 def test_fixpoint_stability_random(rng):
@@ -138,7 +200,7 @@ def test_fixpoint_stability_random(rng):
         if not result.converged:
             continue
         pi = result.prime_implicates
-        assert residue(closure_step(pi)) == pi
+        assert residue(closure_step_traced(pi)[0]) == pi
 
 
 def test_every_input_clause_is_covered(rng):
@@ -167,7 +229,7 @@ def test_clause_budget_reports_stage():
 
 def _compile_outcome(kb, config, trace):
     try:
-        return prime_implicates_traced(kb, config, EntailmentOracle(Tableau()), trace=trace)
+        return prime_implicates(kb, config, EntailmentOracle(Tableau()), trace=trace)
     except BudgetExceeded as e:
         return type(e), e.stage
 
@@ -195,8 +257,8 @@ def test_untraced_compile_matches_traced(rng):
         assert _closure_outcome(kb, budget, trace=False) == _closure_outcome(kb, budget, trace=True)
         traced = _compile_outcome(kb, config, trace=True)
         plain = _compile_outcome(kb, config, trace=False)
-        if isinstance(traced[0], PicResult):
-            assert plain == (traced[0], ())
+        if isinstance(traced, PicResult):
+            assert (plain, plain.steps) == (traced, ())
         else:
             capped += 1
             assert plain == traced
@@ -211,7 +273,8 @@ def test_config_validation():
 
 
 def test_result_json_schema():
-    result, steps = prime_implicates_traced(make_cnf([cl("p"), cl("~p | q")]))
+    result = prime_implicates(make_cnf([cl("p"), cl("~p | q")]), trace=True)
+    steps = result.steps
     js = result.to_json()
     assert set(js) == {"prime_implicates", "iterations", "converged", "trace"}
     assert js["converged"] is True

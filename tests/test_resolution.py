@@ -5,15 +5,14 @@ from kprime import (
     Literal,
     RecursionDepthExceeded,
     clause_to_formula,
-    closure_step,
     closure_step_traced,
     gamma_resolvents,
     is_implicate,
-    is_normal,
     local_entails,
     make_cnf,
     parse,
     sigma_resolvents,
+    simplify,
 )
 from kprime.generators import random_clause, random_kb
 from kprime.syntax import Clause, clause_key
@@ -96,32 +95,32 @@ def test_gamma_conclusions_are_sound(rng):
 
 def test_closure_contains_input_and_example_resolvent():
     u = make_cnf([cl("<>(p & (~p | []r))"), cl("[]<>(~r | q)"), cl("[][](~p | r)")])
-    closed = closure_step(u)
+    closed, _ = closure_step_traced(u)
     assert u <= closed
     assert cl("<>(p & (~p | []r) & []r)") in closed
 
 
 def test_closure_of_singleton_unit_is_identity():
     u = make_cnf([cl("p")])
-    assert closure_step(u) == u
+    assert closure_step_traced(u)[0] == u
 
 
 def test_closure_adds_bottom_for_complementary_units():
     u = make_cnf([cl("p"), cl("~p")])
-    assert closure_step(u) == u | {BOTTOM_CLAUSE}
+    assert closure_step_traced(u)[0] == u | {BOTTOM_CLAUSE}
 
 
 def test_closure_soundness_on_random_kbs(rng):
     for _ in range(25):
         kb = random_kb(rng, ("p", "q"), rng.randint(1, 3), rng.randint(0, 2), 2)
-        for c in closure_step(kb):
+        for c in closure_step_traced(kb)[0]:
             assert is_implicate(kb, c)
 
 
 def test_closure_conclusions_are_normal(rng):
     for _ in range(25):
         kb = random_kb(rng, ("p", "q"), rng.randint(1, 3), rng.randint(0, 2), 3)
-        assert all(is_normal(c) for c in closure_step(kb))
+        assert all(simplify(c) == c for c in closure_step_traced(kb)[0])
 
 
 def _propositional_resolvents(a, b):
@@ -141,7 +140,7 @@ def test_agrees_with_classical_resolution_on_modal_free_clauses(rng):
 
 
 def test_trace_json_shape():
-    _, steps = closure_step_traced(make_cnf([cl("[]p"), cl("<>(~p | q)")]))
+    _, steps = closure_step_traced(make_cnf([cl("[]p"), cl("<>(~p | q)")]), trace=True)
     assert steps
     for s in steps:
         js = s.to_json()
@@ -167,6 +166,6 @@ def test_clause_budget_on_closure():
     u = make_cnf([cl("p | q"), cl("~p | q"), cl("p | ~q"), cl("~p | ~q")])
     for budget in (4, 5, 6):
         with pytest.raises(ClauseBudgetExceeded) as exc:
-            closure_step(u, clause_budget=budget)
+            closure_step_traced(u, clause_budget=budget)
         # the cap fires on the first conclusion past it, not at the end of the layer
         assert str(exc.value).startswith(f"closure grew to {budget + 1} clauses,")
