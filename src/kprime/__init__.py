@@ -24,11 +24,7 @@ from .pic import (
     PicConfig,
     PicResult,
     StageRecord,
-    answer_query,
-    clause_entails,
     covering_implicate,
-    default_oracle,
-    is_implicate,
     prime_implicates,
     residue_detailed,
     subsumes,
@@ -44,11 +40,8 @@ from .semantics import (
     KripkeModel,
     SatResult,
     Tableau,
-    default_tableau,
     enumerate_tree_models,
-    local_entails,
     model_check,
-    satisfiable,
 )
 from .syntax import (
     BOT,
@@ -98,11 +91,7 @@ __all__ = [
     "PicConfig",
     "PicResult",
     "StageRecord",
-    "answer_query",
-    "clause_entails",
     "covering_implicate",
-    "default_oracle",
-    "is_implicate",
     "prime_implicates",
     "residue_detailed",
     "subsumes",
@@ -114,11 +103,8 @@ __all__ = [
     "KripkeModel",
     "SatResult",
     "Tableau",
-    "default_tableau",
     "enumerate_tree_models",
-    "local_entails",
     "model_check",
-    "satisfiable",
     "BOT",
     "BOTTOM_CLAUSE",
     "And",

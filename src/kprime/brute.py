@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .normalization import simplify_cnf
-from .pic import EntailmentOracle, is_implicate, residue_detailed
+from .pic import EntailmentOracle, residue_detailed
 from .syntax import (
     Clause,
     Cnf,
@@ -95,9 +95,13 @@ def prime_implicates_brute(
     width: int,
     oracle: EntailmentOracle | None = None,
 ) -> frozenset:
-    """Reference prime implicates inside the bounded clause space."""
+    """Reference prime implicates inside the bounded clause space.
+
+    Without an oracle, a fresh one serves this call.
+    """
+    oracle = oracle or EntailmentOracle()
     u = simplify_cnf(u)
     implicates = [
-        c for c in enumerate_clauses(vocab, depth, width) if is_implicate(u, c, oracle)
+        c for c in enumerate_clauses(vocab, depth, width) if oracle.is_implicate(u, c)
     ]
     return frozenset(residue_detailed(implicates, oracle)[0])

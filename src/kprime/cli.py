@@ -19,7 +19,7 @@ from .normalization import make_cnf, simplify
 from .parser import parse
 from .pic import PicConfig, covering_implicate, prime_implicates
 from .selftest import run_all
-from .semantics import satisfiable
+from .semantics import Tableau
 from .syntax import clause_key, clause_length, clause_to_json, clause_from_json
 
 USAGE_ERROR, BUDGET_ERROR = 2, 3
@@ -114,7 +114,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    verdict = satisfiable(parse(args.formula))
+    verdict = Tableau().satisfiable(parse(args.formula))
     if not verdict.satisfiable:
         print("UNSAT")
         return 1

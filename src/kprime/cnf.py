@@ -10,9 +10,10 @@ distribution blowup is guarded by a clause-count budget.
 
 from __future__ import annotations
 
-from .errors import ClauseBudgetExceeded
-from .normalization import make_cnf, simplify, simplify_cnf
+from .errors import ClauseBudgetExceeded, RecursionDepthExceeded
+from .normalization import conjoin, diamond, disjoin
 from .syntax import (
+    BOTTOM_CLAUSE,
     And,
     Bottom,
     Box,
@@ -52,12 +53,6 @@ def nnf(f: Formula, negated: bool = False) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _or_clauses(a: Clause, b: Clause) -> Clause:
-    return Clause(
-        a.literals | b.literals, a.boxes | b.boxes, a.diamonds | b.diamonds
-    )
-
-
 def _check(clauses, budget: int):
     if len(clauses) > budget:
         raise ClauseBudgetExceeded(
@@ -67,7 +62,8 @@ def _check(clauses, budget: int):
 
 
 def _convert(f: Formula, budget: int) -> Cnf:
-    # f is in NNF; the result is a normalized clause set
+    # f is in NNF; the result is a normalized clause set, assembled from
+    # normal parts by the normalization constructors
     if isinstance(f, Var):
         return frozenset((Clause(literals=frozenset((Literal(f.name, True),))),))
     if isinstance(f, Not):
@@ -75,11 +71,9 @@ def _convert(f: Formula, budget: int) -> Cnf:
             return frozenset()  # verum: the empty conjunction
         return frozenset((Clause(literals=frozenset((Literal(f.body.name, False),))),))
     if isinstance(f, Bottom):
-        return make_cnf((Clause(),))
+        return frozenset((BOTTOM_CLAUSE,))
     if isinstance(f, And):
-        return _check(
-            simplify_cnf(_convert(f.left, budget) | _convert(f.right, budget)), budget
-        )
+        return _check(conjoin(_convert(f.left, budget), _convert(f.right, budget)), budget)
     if isinstance(f, Or):
         left, right = _convert(f.left, budget), _convert(f.right, budget)
         if not left or not right:
@@ -88,27 +82,27 @@ def _convert(f: Formula, budget: int) -> Cnf:
             raise ClauseBudgetExceeded(
                 f"CNF distribution would exceed {budget} clauses"
             )
-        return _check(
-            simplify_cnf(_or_clauses(a, b) for a in left for b in right), budget
-        )
+        return _check(conjoin([disjoin(a, b) for a in left for b in right]), budget)
     if isinstance(f, Box):
         # box distributes over the conjunction of the body's clauses
         body = _convert(f.body, budget)
-        return _check(
-            simplify_cnf(Clause(boxes=frozenset((c,))) for c in body), budget
-        )
+        return _check(frozenset(Clause(boxes=frozenset((c,))) for c in body), budget)
     if isinstance(f, Diamond):
-        body = _convert(f.body, budget)
-        return make_cnf((simplify(Clause(diamonds=frozenset((body,)))),))
+        return frozenset((diamond(_convert(f.body, budget)),))
     raise TypeError(f"unexpected connective after NNF: {f!r}")
 
 
 def to_cnf(f: Formula, clause_budget: int = DEFAULT_CLAUSE_BUDGET) -> Cnf:
     """Equivalent clause set for a formula.
 
-    Raises ClauseBudgetExceeded if distribution grows past clause_budget.
+    Raises ClauseBudgetExceeded if distribution grows past clause_budget,
+    and RecursionDepthExceeded if f is nested deeper than the interpreter's
+    stack allows.
     """
-    return _convert(nnf(f), clause_budget)
+    try:
+        return _convert(nnf(f), clause_budget)
+    except RecursionError:
+        raise RecursionDepthExceeded("formula nested too deep to convert") from None
 
 
 def single_clause(f: Formula, clause_budget: int = DEFAULT_CLAUSE_BUDGET) -> Clause:

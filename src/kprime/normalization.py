@@ -12,6 +12,16 @@ Rules run innermost-first: children are normalized before their parent, so
 a diamond collapsed by a child rewrite is visible where it matters.  Each
 rule strictly shrinks the clause, so one bottom-up pass reaches the unique
 normal form; simplify is idempotent.
+
+Normal form is established once, where clauses enter from outside (parsed
+input through make_clause/make_cnf, queries, raw knowledge bases).  After
+that, the converter and the resolution rules build every clause from parts
+already in normal form, so only the two rules that act on a node's own
+children can fire, and the constructors below apply exactly those instead
+of running the rewriter again: disjoin unions disjuncts (a bottom clause
+has no parts, so it drops out by itself), conjoin collapses a clause set
+holding bottom, and diamond drops a diamond over bottom.  Duplicates merge
+because every part is a set.
 """
 
 from __future__ import annotations
@@ -38,10 +48,32 @@ def simplify(c: Clause) -> Clause:
 
 def simplify_cnf(s) -> Cnf:
     """Normal form of a clause set: members normalized, bottom collapses the set."""
-    members = frozenset(simplify(c) for c in s)
-    if any(c.is_bottom for c in members):
-        return frozenset((BOTTOM_CLAUSE,))
+    return conjoin(frozenset(simplify(c) for c in s))
+
+
+def disjoin(*clauses: Clause) -> Clause:
+    """Disjunction of clauses; normal when every argument is."""
+    lits, boxes, dias = frozenset(), frozenset(), frozenset()
+    for c in clauses:
+        lits |= c.literals
+        boxes |= c.boxes
+        dias |= c.diamonds
+    return Clause(lits, boxes, dias)
+
+
+def conjoin(*sets) -> Cnf:
+    """Conjunction of clause sets; normal when every member is."""
+    members = frozenset().union(*sets)
+    if BOTTOM_CLAUSE in members:
+        return _BOTTOM_CNF
     return members
+
+
+def diamond(s: Cnf) -> Clause:
+    """The clause <>s for a normal clause set s; <>bot is bottom."""
+    if s == _BOTTOM_CNF:
+        return BOTTOM_CLAUSE
+    return Clause(diamonds=frozenset((s,)))
 
 
 def make_clause(literals=(), boxes=(), diamonds=()) -> Clause:

@@ -10,8 +10,12 @@ residue); it keeps, from each equivalence class of the strongest clauses,
 the representative with the smallest (length, key) pair, so the whole
 pipeline is deterministic for a given input.
 
-Clause-to-clause entailment rides on the tableau; verdicts are cached per
-clause pair because residue and query answering repeat questions.
+Clause-to-clause entailment rides on the tableau; an EntailmentOracle
+caches verdicts per clause pair because residue and query answering repeat
+questions.  The caller owns that cache: every entry point takes an oracle,
+and one called without builds a fresh oracle (over a fresh Tableau) for
+that call alone, so no verdict or budget outcome carries over between
+calls the caller did not tie together.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceeded
 from .normalization import simplify, simplify_cnf
 from .resolution import DEFAULT_MAX_DEPTH, closure_step_traced
-from .semantics import Tableau, default_tableau
+from .semantics import Tableau
 from .syntax import (
     Clause,
     Cnf,
@@ -91,10 +95,14 @@ class PicResult:
 
 
 class EntailmentOracle:
-    """Clause- and KB-level entailment over a tableau, with verdict caches."""
+    """Clause- and KB-level entailment over a tableau, with verdict caches.
+
+    Without a tableau it builds its own; the caches live as long as the
+    oracle.
+    """
 
     def __init__(self, tableau: Tableau | None = None):
-        self.tableau = tableau if tableau is not None else default_tableau()
+        self.tableau = tableau if tableau is not None else Tableau()
         self._pair_cache: dict = {}
         self._implicate_cache: dict = {}
 
@@ -119,21 +127,6 @@ class EntailmentOracle:
             )
             self._implicate_cache[key] = hit
         return hit
-
-
-_DEFAULT_ORACLE = EntailmentOracle()
-
-
-def default_oracle() -> EntailmentOracle:
-    return _DEFAULT_ORACLE
-
-
-def clause_entails(d: Clause, c: Clause, oracle: EntailmentOracle | None = None) -> bool:
-    return (oracle or _DEFAULT_ORACLE).clause_entails(d, c)
-
-
-def is_implicate(u: Cnf, c: Clause, oracle: EntailmentOracle | None = None) -> bool:
-    return (oracle or _DEFAULT_ORACLE).is_implicate(u, c)
 
 
 def _residue_order(c: Clause):
@@ -177,9 +170,9 @@ def residue_detailed(
     Returns (kept, dropped): kept is the antichain of strongest clauses,
     one smallest representative per equivalence class, ordered by
     (length, key); dropped pairs each removed clause with a kept clause
-    that entails it.
+    that entails it.  Without an oracle, a fresh one serves this call.
     """
-    oracle = oracle or _DEFAULT_ORACLE
+    oracle = oracle or EntailmentOracle()
     return _antichain(clauses, lambda d, c: oracle.clause_entails(d, c, node_budget))
 
 
@@ -236,10 +229,11 @@ def prime_implicates(
     entailment-based residue runs once, on the fixpoint, to minimize the
     answer; its removals appear as a final trace record.  With trace, the
     result's steps hold the ranked resolution derivations of every stage;
-    without it they are ().
+    without it they are ().  Without an oracle, a fresh one serves this
+    call, so the same input and config always give the same verdict.
     """
     config = config or PicConfig()
-    oracle = oracle or _DEFAULT_ORACLE
+    oracle = oracle or EntailmentOracle()
     current = simplify_cnf(u)
     if not current:
         return PicResult(frozenset(), 0, (), True)
@@ -287,14 +281,14 @@ def prime_implicates(
 def covering_implicate(
     pi, q: Clause, oracle: EntailmentOracle | None = None
 ) -> Clause | None:
-    """Smallest compiled clause entailing the query, or None."""
+    """Smallest compiled clause entailing the query, or None.
+
+    The query is entailed by the compiled set iff the result is not None.
+    Without an oracle, a fresh one serves this call.
+    """
+    oracle = oracle or EntailmentOracle()
     q = simplify(q)
     for d in sorted(pi, key=_residue_order):
-        if clause_entails(d, q, oracle):
+        if oracle.clause_entails(d, q):
             return d
     return None
-
-
-def answer_query(pi, q: Clause, oracle: EntailmentOracle | None = None) -> bool:
-    """Entailment of a clause query from a compiled prime implicate set."""
-    return covering_implicate(pi, q, oracle) is not None

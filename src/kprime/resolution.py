@@ -8,7 +8,8 @@ member of the diamond's clause set, which keeps its premises and gains the
 resolvent.  Single-premise resolvents act inside one clause: a resolvable
 pair within a diamond's set grows that set, a member's own resolvent grows
 it likewise, and boxes recurse.  Every conclusion is returned in normal
-form with a witness derivation tree.
+form with a witness derivation tree; premises are normal, so conclusions
+are assembled with the normalization constructors and never re-simplified.
 
 Two extra rules back the covering guarantee.  A box body is absorbed into
 every diamond of the partner premise outright (every successor satisfies
@@ -34,11 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClauseBudgetExceeded, RecursionDepthExceeded
-from .normalization import simplify, simplify_cnf
+from .normalization import conjoin, diamond, disjoin
+# unused here, kept importable: bench/run.py --trace 1 wraps these two names
+# on this module to count simplification inside resolution
+from .normalization import simplify, simplify_cnf  # noqa: F401
 from .syntax import (
     BOTTOM_CLAUSE,
     Clause,
     clause_key,
+    cnf_key,
     sorted_clauses,
 )
 
@@ -78,27 +83,18 @@ def _unit_dia(body) -> Clause:
     return Clause(diamonds=frozenset((body,)))
 
 
-def _union(*clauses: Clause) -> Clause:
-    lits, boxes, dias = frozenset(), frozenset(), frozenset()
-    for c in clauses:
-        lits |= c.literals
-        boxes |= c.boxes
-        dias |= c.diamonds
-    return Clause(lits, boxes, dias)
-
-
 def _wrap_sigma(a: Clause, b: Clause, core: ResolutionStep, rem_a: Clause, rem_b: Clause) -> ResolutionStep:
     """Thread the untouched disjuncts of both premises around a core resolvent."""
     if rem_a.is_bottom and rem_b.is_bottom:
         return core
-    conclusion = _union(rem_a, rem_b, core.conclusion)
+    conclusion = disjoin(rem_a, rem_b, core.conclusion)
     return ResolutionStep("sigma-or", (a, b), conclusion, (core,))
 
 
 def _wrap_gamma(a: Clause, core: ResolutionStep, rem: Clause) -> ResolutionStep:
     if rem.is_bottom:
         return core
-    conclusion = _union(rem, core.conclusion)
+    conclusion = disjoin(rem, core.conclusion)
     return ResolutionStep("gamma-or", (a,), conclusion, (core,))
 
 
@@ -122,7 +118,7 @@ def _sigma(a: Clause, b: Clause, depth: int):
     for da in sorted_clauses(a.boxes):
         for db in sorted_clauses(b.boxes):
             for inner in _sigma(da, db, depth - 1):
-                conclusion = simplify(Clause(boxes=frozenset((inner.conclusion,))))
+                conclusion = _unit_box(inner.conclusion)
                 core = ResolutionStep(
                     "sigma-boxbox", (_unit_box(da), _unit_box(db)), conclusion, (inner,)
                 )
@@ -138,8 +134,7 @@ def _sigma(a: Clause, b: Clause, depth: int):
                 # diamond of the partner at once.  Resolution alone cannot
                 # reach these conclusions, and absorbing one diamond at a
                 # time can stall on intermediates the residue removes.
-                absorbed = frozenset(simplify_cnf(s | {d}) for s in y.diamonds)
-                conclusion = simplify(Clause(diamonds=absorbed))
+                conclusion = disjoin(*(diamond(conjoin(s, (d,))) for s in y.diamonds))
                 core = ResolutionStep(
                     "sigma-absorb",
                     (_unit_box(d), Clause(diamonds=y.diamonds)),
@@ -148,13 +143,12 @@ def _sigma(a: Clause, b: Clause, depth: int):
                 rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
                 rem_y = Clause(y.literals, y.boxes, frozenset())
                 yield _wrap_sigma(a, b, core, rem_x, rem_y)
-            for s in sorted(y.diamonds, key=lambda t: tuple(sorted(map(clause_key, t)))):
+            for s in sorted(y.diamonds, key=cnf_key):
                 rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
                 rem_y = Clause(y.literals, y.boxes, y.diamonds - {s})
                 for e in sorted_clauses(s):
                     for inner in _sigma(d, e, depth - 1):
-                        new_set = simplify_cnf(s | {inner.conclusion})
-                        conclusion = simplify(Clause(diamonds=frozenset((new_set,))))
+                        conclusion = diamond(conjoin(s, (inner.conclusion,)))
                         core = ResolutionStep(
                             "sigma-boxdiamond",
                             (_unit_box(d), _unit_dia(s)),
@@ -174,35 +168,28 @@ def _gamma(a: Clause, depth: int):
         # satisfying the box body.  This seeds a diamond that absorption can
         # pack with other box bodies; without it, diamond-free premises
         # cover none of their box-or-diamond consequences.
-        dichotomy = simplify(
-            Clause(
-                boxes=frozenset((BOTTOM_CLAUSE,)),
-                diamonds=frozenset((frozenset((d,)),)),
-            )
-        )
+        dichotomy = disjoin(_unit_box(BOTTOM_CLAUSE), diamond(frozenset((d,))))
         core = ResolutionStep("gamma-dichotomy", (_unit_box(d),), dichotomy)
         yield _wrap_gamma(a, core, rem)
         for inner in _gamma(d, depth - 1):
-            conclusion = simplify(Clause(boxes=frozenset((inner.conclusion,))))
+            conclusion = _unit_box(inner.conclusion)
             core = ResolutionStep("gamma-box", (_unit_box(d),), conclusion, (inner,))
             yield _wrap_gamma(a, core, rem)
 
-    for s in sorted(a.diamonds, key=lambda t: tuple(sorted(map(clause_key, t)))):
+    for s in sorted(a.diamonds, key=cnf_key):
         rem = Clause(a.literals, a.boxes, a.diamonds - {s})
         members = sorted_clauses(s)
         for i, e1 in enumerate(members):
             for e2 in members[i + 1 :]:
                 for inner in _sigma(e1, e2, depth - 1):
-                    new_set = simplify_cnf(s | {inner.conclusion})
-                    conclusion = simplify(Clause(diamonds=frozenset((new_set,))))
+                    conclusion = diamond(conjoin(s, (inner.conclusion,)))
                     core = ResolutionStep(
                         "gamma-diamond1", (_unit_dia(s),), conclusion, (inner,)
                     )
                     yield _wrap_gamma(a, core, rem)
         for e in members:
             for inner in _gamma(e, depth - 1):
-                new_set = simplify_cnf(s | {inner.conclusion})
-                conclusion = simplify(Clause(diamonds=frozenset((new_set,))))
+                conclusion = diamond(conjoin(s, (inner.conclusion,)))
                 core = ResolutionStep(
                     "gamma-diamond2", (_unit_dia(s),), conclusion, (inner,)
                 )

@@ -1,10 +1,13 @@
 """Invariant suites: seeded random checks behind `kprime selftest` and the
 acceptance tests.
 
-Each suite returns a SuiteResult; zero failures is the bar everywhere.  The
-raw-clause rewriter here applies the four simplification rules one redex at
-a time in random order, independently of the production simplifier, to
-check that every order lands on the same normal form.
+Each suite returns a SuiteResult; zero failures is the bar everywhere.
+Each suite builds one EntailmentOracle (or one Tableau) and passes it to
+every compile, brute-force run and check it makes, so verdicts are reused
+within a suite and never across suites.  The raw-clause rewriter here
+applies the four simplification rules one redex at a time in random order,
+independently of the production simplifier, to check that every order
+lands on the same normal form.
 """
 
 from __future__ import annotations
@@ -24,21 +27,18 @@ from .generators import random_clause, random_formula, random_kb, random_raw_cla
 from .normalization import make_cnf, simplify
 from .parser import parse
 from .pic import (
+    EntailmentOracle,
     PicConfig,
-    answer_query,
-    clause_entails,
-    is_implicate,
+    covering_implicate,
     prime_implicates,
     residue_detailed,
 )
 from .resolution import closure_step_traced, sigma_resolvents
 from .semantics import (
     Tableau,
-    default_tableau,
     diamond_subformulas,
     enumerate_tree_models,
     model_check,
-    satisfiable,
 )
 from .syntax import (
     Clause,
@@ -213,9 +213,10 @@ def suite_worked_example() -> SuiteResult:
     """
     start = time.perf_counter()
     failures, info = [], []
+    oracle = EntailmentOracle()
     kb = example_kb()
     expected = example_expected()
-    result = prime_implicates(kb, PicConfig(max_iterations=10))
+    result = prime_implicates(kb, PicConfig(max_iterations=10), oracle)
     elapsed = time.perf_counter() - start
     checked = 0
 
@@ -226,13 +227,13 @@ def suite_worked_example() -> SuiteResult:
     got = result.prime_implicates
     for c in sorted(expected, key=clause_key):
         checked += 1
-        if not any(clause_entails(d, c) for d in got):
+        if not any(oracle.clause_entails(d, c) for d in got):
             failures.append(f"published clause not covered: {c}")
     for d in sorted(got, key=clause_key):
         checked += 1
-        if not is_implicate(kb, d):
+        if not oracle.is_implicate(kb, d):
             failures.append(f"computed clause is not an implicate: {d}")
-        elif not any(clause_entails(c, d) for c in expected):
+        elif not any(oracle.clause_entails(c, d) for c in expected):
             info.append(f"implicate missing from the published set: {d}")
     textual_diff = {clause_key(c) for c in got} ^ {clause_key(c) for c in expected}
     if textual_diff:
@@ -254,6 +255,7 @@ def suite_soundness(seed: int = 2024, kbs: int = 200) -> SuiteResult:
     checked = 0
     capped = 0
     config = PicConfig(max_iterations=8, clause_budget=400)
+    oracle = EntailmentOracle()
     for i in range(kbs):
         vocab = ("p", "q", "r")[: rng.randint(1, 3)]
         kb = random_kb(
@@ -266,16 +268,16 @@ def suite_soundness(seed: int = 2024, kbs: int = 200) -> SuiteResult:
         closed, _ = closure_step_traced(kb)
         for c in closed:
             checked += 1
-            if not is_implicate(kb, c):
+            if not oracle.is_implicate(kb, c):
                 failures.append(f"KB {i}: closure clause not entailed: {c}")
         try:
-            result = prime_implicates(kb, config)
+            result = prime_implicates(kb, config, oracle)
         except (ClauseBudgetExceeded, TableauBudgetExceeded):
             capped += 1
             continue
         for c in result.prime_implicates:
             checked += 1
-            if not is_implicate(kb, c):
+            if not oracle.is_implicate(kb, c):
                 failures.append(f"KB {i}: compiled clause not entailed: {c}")
     info = [f"{capped} runs hit a resource cap (closure still checked)"] if capped else []
     return _finish("soundness", failures, checked, start, info)
@@ -289,23 +291,25 @@ def suite_covering_agreement(seed: int = 2025, kbs: int = 50) -> SuiteResult:
     checked = 0
     vocab = ("p", "q")
     depth, width = 1, 2
+    config = PicConfig(max_iterations=15, clause_budget=600)
+    oracle = EntailmentOracle()
     for i in range(kbs):
         kb = random_kb(rng, vocab, clauses=rng.randint(1, 3), depth=depth, width=width)
-        result = prime_implicates(kb, PicConfig(max_iterations=15, clause_budget=600))
+        result = prime_implicates(kb, config, oracle)
         if not result.converged:
             failures.append(f"KB {i}: compilation did not converge")
             continue
         pic_out = result.prime_implicates
-        brute_out = prime_implicates_brute(kb, vocab, depth, width)
+        brute_out = prime_implicates_brute(kb, vocab, depth, width, oracle)
         for b in brute_out:
             checked += 1
-            if not any(clause_entails(d, b) for d in pic_out):
+            if not any(oracle.clause_entails(d, b) for d in pic_out):
                 failures.append(f"KB {i}: brute prime implicate uncovered: {b}")
         for d in pic_out:
             if not within_bounds(d, vocab, depth, width):
                 continue
             checked += 1
-            if not any(clause_entails(b, d) for b in brute_out):
+            if not any(oracle.clause_entails(b, d) for b in brute_out):
                 failures.append(f"KB {i}: compiled clause uncovered by brute set: {d}")
     return _finish("covering-agreement", failures, checked, start)
 
@@ -316,14 +320,15 @@ def suite_residue_contract(seed: int = 2026, sets: int = 500) -> SuiteResult:
     rng = random.Random(seed)
     failures = []
     checked = 0
+    oracle = EntailmentOracle()
     for i in range(sets):
         vocab = ("p", "q", "r")[: rng.randint(1, 2)]
         pool = {
             random_clause(rng, vocab, depth=rng.randint(0, 1), width=2)
             for _ in range(rng.randint(1, 6))
         }
-        kept, dropped = residue_detailed(pool)
-        again, _ = residue_detailed(pool)
+        kept, dropped = residue_detailed(pool, oracle)
+        again, _ = residue_detailed(pool, oracle)
         checked += 1
         if kept != again:
             failures.append(f"set {i}: residue not deterministic")
@@ -331,13 +336,13 @@ def suite_residue_contract(seed: int = 2026, sets: int = 500) -> SuiteResult:
             failures.append(f"set {i}: residue not a subset of its input")
         for a in kept:
             for b in kept:
-                if a is not b and clause_entails(a, b):
+                if a is not b and oracle.clause_entails(a, b):
                     failures.append(f"set {i}: kept clause {a} entails kept clause {b}")
         for c in pool:
-            if not any(clause_entails(d, c) for d in kept):
+            if not any(oracle.clause_entails(d, c) for d in kept):
                 failures.append(f"set {i}: input clause uncovered: {c}")
         for c, witness in dropped:
-            if not clause_entails(witness, c):
+            if not oracle.clause_entails(witness, c):
                 failures.append(f"set {i}: recorded witness does not entail {c}")
     return _finish("residue-contract", failures, checked, start)
 
@@ -348,6 +353,7 @@ def suite_simplification(seed: int = 2027, clauses: int = 1000) -> SuiteResult:
     rng = random.Random(seed)
     failures = []
     checked = 0
+    tableau = Tableau()
     for i in range(clauses):
         vocab = ("p", "q")[: rng.randint(1, 2)]
         raw = random_raw_clause(rng, vocab, depth=rng.randint(0, 2), width=2)
@@ -367,8 +373,7 @@ def suite_simplification(seed: int = 2027, clauses: int = 1000) -> SuiteResult:
         if modal_depth(clause_to_formula(as_clause)) <= 2:
             f_raw = clause_to_formula(as_clause)
             f_nf = clause_to_formula(nf)
-            tab = default_tableau()
-            if not (tab.entails(f_raw, f_nf) and tab.entails(f_nf, f_raw)):
+            if not (tableau.entails(f_raw, f_nf) and tableau.entails(f_nf, f_raw)):
                 failures.append(f"clause {i}: simplify changed the meaning")
     return _finish("simplification", failures, checked, start)
 
@@ -379,10 +384,11 @@ def suite_oracle_cross_validation(seed: int = 2028, formulas: int = 500) -> Suit
     rng = random.Random(seed)
     failures = []
     checked = 0
+    tableau = Tableau()
     for i in range(formulas):
         vocab = ("p", "q")[: rng.randint(1, 2)]
         f = random_formula(rng, vocab, depth=rng.randint(0, 2), size=rng.randint(3, 12))
-        verdict = satisfiable(f)
+        verdict = tableau.satisfiable(f)
         checked += 1
         if verdict.satisfiable and not model_check(verdict.model, verdict.world, f):
             failures.append(f"formula {i}: witness model fails its own formula")
@@ -408,17 +414,19 @@ def suite_query_agreement(seed: int = 2029, kbs: int = 20) -> SuiteResult:
     vocab = ("p", "q")
     depth, width = 1, 2
     queries = tuple(enumerate_clauses(vocab, depth, width))
+    config = PicConfig(max_iterations=15, clause_budget=600)
+    oracle = EntailmentOracle()
     for i in range(kbs):
         kb = random_kb(rng, vocab, clauses=rng.randint(1, 2), depth=depth, width=width)
-        result = prime_implicates(kb, PicConfig(max_iterations=15, clause_budget=600))
+        result = prime_implicates(kb, config, oracle)
         if not result.converged:
             failures.append(f"KB {i}: compilation did not converge")
             continue
         pi = result.prime_implicates
         for q in queries:
             checked += 1
-            compiled = answer_query(pi, q)
-            direct = is_implicate(kb, q)
+            compiled = covering_implicate(pi, q, oracle) is not None
+            direct = oracle.is_implicate(kb, q)
             if compiled != direct:
                 failures.append(
                     f"KB {i}: query {q}: compiled={compiled} direct={direct}"
@@ -443,7 +451,6 @@ def suite_budget_mechanisms() -> SuiteResult:
     except ClauseBudgetExceeded:
         checked += 1
     try:
-        # a fresh tableau: the shared one may already have cached verdicts
         Tableau(node_budget=3).satisfiable(big)
         failures.append("tableau ignored its node budget")
     except TableauBudgetExceeded:

@@ -7,6 +7,12 @@ conditions, so a dead-end world satisfies every box.  Open tableaux yield
 finite tree models of depth at most the modal depth of the query, which the
 caller can re-check with model_check.
 
+A Tableau owns its memo of finished verdicts and nothing else caches
+them, so whoever creates one decides how long its verdicts are reused.
+Memo hits cost no node budget, so a budget verdict depends on what that
+Tableau decided before; a fresh Tableau asked the same queries in the same
+order reaches the same verdicts.
+
 A bounded enumeration of labeled tree models (duplicate-free up to
 isomorphism) serves as an independent ground truth for the tableau on
 small vocabularies.
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .cnf import nnf
-from .errors import TableauBudgetExceeded
+from .errors import RecursionDepthExceeded, TableauBudgetExceeded
 from .syntax import (
     And,
     Bottom,
@@ -171,12 +177,20 @@ class Tableau:
         self._memo: dict = {}
 
     def satisfiable(self, f: Formula, node_budget: int | None = None) -> SatResult:
-        """Decide satisfiability; a SAT verdict carries a verifying tree model."""
+        """Decide satisfiability; a SAT verdict carries a verifying tree model.
+
+        Raises TableauBudgetExceeded when the search expands more nodes than
+        the budget, and RecursionDepthExceeded when f is nested deeper than
+        the interpreter's stack allows.
+        """
         budget = _Budget(self.node_budget if node_budget is None else node_budget)
-        tree = self._solve(_strip_top((nnf(f),)), budget)
-        if tree is None:
-            return SatResult.unsat()
-        model = _tree_to_model(tree, sorted(variables(f)))
+        try:
+            tree = self._solve(_strip_top((nnf(f),)), budget)
+            if tree is None:
+                return SatResult.unsat()
+            model = _tree_to_model(tree, sorted(variables(f)))
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to decide") from None
         return SatResult.sat(model, model.root)
 
     def entails(self, f: Formula, g: Formula, node_budget: int | None = None) -> bool:
@@ -236,21 +250,6 @@ class Tableau:
                 return None
             children.append(child)
         return _Tree(frozenset(positive), tuple(children))
-
-
-_DEFAULT_TABLEAU = Tableau()
-
-
-def default_tableau() -> Tableau:
-    return _DEFAULT_TABLEAU
-
-
-def satisfiable(f: Formula, node_budget: int | None = None) -> SatResult:
-    return _DEFAULT_TABLEAU.satisfiable(f, node_budget)
-
-
-def local_entails(f: Formula, g: Formula, node_budget: int | None = None) -> bool:
-    return _DEFAULT_TABLEAU.entails(f, g, node_budget)
 
 
 def diamond_subformulas(f: Formula) -> frozenset:

@@ -242,23 +242,6 @@ def cnf_to_formula(s: Cnf) -> Formula:
     return out
 
 
-def clause_variables(c: Clause) -> frozenset[str]:
-    out = {l.variable for l in c.literals}
-    for b in c.boxes:
-        out |= clause_variables(b)
-    for s in c.diamonds:
-        for m in s:
-            out |= clause_variables(m)
-    return frozenset(out)
-
-
-def clause_modal_depth(c: Clause) -> int:
-    depths = [0]
-    depths += [1 + clause_modal_depth(b) for b in c.boxes]
-    depths += [1 + max((clause_modal_depth(m) for m in s), default=0) for s in c.diamonds]
-    return max(depths)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from kprime.cli import main
+from kprime.selftest import ALL_SUITES
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "example.k"
 
@@ -122,6 +123,13 @@ def test_syntax_error_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compile", str(kb))
     assert code == 2
     assert "line" in err
+
+
+def test_selftest_quick_passes_every_suite(capsys):
+    code, out, err = run_cli(capsys, "selftest", "--quick")
+    assert code == 0, out
+    assert out.count("PASS ") == len(ALL_SUITES) and "FAIL" not in out
+    assert err == ""
 
 
 def test_unknown_flag_exits_two(capsys):

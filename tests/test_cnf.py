@@ -1,8 +1,10 @@
 import pytest
 
 from kprime import (
+    Box,
     ClauseBudgetExceeded,
-    local_entails,
+    RecursionDepthExceeded,
+    Var,
     parse,
     simplify,
     single_clause,
@@ -41,7 +43,7 @@ def test_verum_and_bottom_edges():
     assert c.diamonds == frozenset([frozenset()])
 
 
-def test_clauses_are_normal_and_equivalent(rng):
+def test_clauses_are_normal_and_equivalent(rng, tableau):
     for _ in range(150):
         g = random_formula(rng, ("p", "q"), depth=rng.randint(0, 2),
                            size=rng.randint(1, 12))
@@ -50,13 +52,24 @@ def test_clauses_are_normal_and_equivalent(rng):
         clauses = to_cnf(g)
         assert all(simplify(c) == c for c in clauses)
         back = cnf_to_formula(clauses)
-        assert local_entails(g, back) and local_entails(back, g)
+        assert tableau.entails(g, back) and tableau.entails(back, g)
 
 
 def test_budget_error_on_blowup():
     wide = parse(" | ".join(f"(p{i} & q{i})" for i in range(10)))
     with pytest.raises(ClauseBudgetExceeded):
         to_cnf(wide, clause_budget=64)
+
+
+def test_deep_nesting_is_a_budget_error():
+    # nested deeper than the interpreter's stack: a budget error, never a
+    # bare RecursionError
+    deep = Var("p")
+    for _ in range(5000):
+        deep = Box(deep)
+    for convert in (to_cnf, single_clause):
+        with pytest.raises(RecursionDepthExceeded):
+            convert(deep)
 
 
 def test_single_clause_rejects_conjunctions():

@@ -4,7 +4,6 @@ from kprime import (
     BOTTOM_CLAUSE,
     Literal,
     clause_to_formula,
-    local_entails,
     make_clause,
     make_cnf,
     simplify,
@@ -91,13 +90,13 @@ def test_each_rewrite_strictly_shrinks(rng):
             assert steps <= 200
 
 
-def test_simplify_preserves_meaning(rng):
+def test_simplify_preserves_meaning(rng, tableau):
     for _ in range(150):
         raw = random_raw_clause(rng, ("p", "q"), depth=rng.randint(0, 2), width=2)
         c = raw_to_clause(raw)
         before = clause_to_formula(c)
         after = clause_to_formula(simplify(c))
-        assert local_entails(before, after) and local_entails(after, before)
+        assert tableau.entails(before, after) and tableau.entails(after, before)
 
 
 def test_canonical_key_total_order_examples():

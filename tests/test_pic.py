@@ -10,11 +10,8 @@ from kprime import (
     PicConfig,
     PicResult,
     Tableau,
-    answer_query,
-    clause_entails,
     closure_step_traced,
     covering_implicate,
-    is_implicate,
     make_clause,
     make_cnf,
     prime_implicates,
@@ -33,10 +30,10 @@ def residue(clauses):
     return frozenset(residue_detailed(clauses)[0])
 
 
-def test_clause_entails_examples():
-    assert clause_entails(cl("p"), cl("p | q"))
-    assert not clause_entails(cl("[]p"), cl("<>p"))
-    assert clause_entails(BOTTOM_CLAUSE, cl("q"))
+def test_clause_entails_examples(oracle):
+    assert oracle.clause_entails(cl("p"), cl("p | q"))
+    assert not oracle.clause_entails(cl("[]p"), cl("<>p"))
+    assert oracle.clause_entails(BOTTOM_CLAUSE, cl("q"))
 
 
 def test_residue_examples():
@@ -50,10 +47,10 @@ def test_residue_keeps_stronger_longer_clause():
     assert residue([cl("<>p"), cl("<>(p & q)")]) == {cl("<>(p & q)")}
 
 
-def test_residue_equivalence_class_keeps_smallest():
+def test_residue_equivalence_class_keeps_smallest(oracle):
     a = cl("<>(p & (~p | q))")
     b = cl("<>(p & (~p | q) & q)")  # equivalent: p forces q via ~p | q
-    assert clause_entails(a, b) and clause_entails(b, a)
+    assert oracle.clause_entails(a, b) and oracle.clause_entails(b, a)
     assert residue([a, b]) == {a}
 
 
@@ -61,10 +58,10 @@ def test_residue_bottom_covers_everything():
     assert residue([cl("p"), BOTTOM_CLAUSE, cl("[]q")]) == {BOTTOM_CLAUSE}
 
 
-def test_residue_witnesses_entail_their_clauses():
+def test_residue_witnesses_entail_their_clauses(oracle):
     kept, dropped = residue_detailed([cl("p"), cl("p | q"), cl("p | r")])
     assert kept == (cl("p"),)
-    assert all(clause_entails(w, c) for c, w in dropped)
+    assert all(oracle.clause_entails(w, c) for c, w in dropped)
 
 
 def test_subsumes_basics():
@@ -158,23 +155,23 @@ def test_prime_implicates_of_contradictory_kb():
     assert result.prime_implicates == {BOTTOM_CLAUSE}
 
 
-def test_worked_example_covers_published_set():
+def test_worked_example_covers_published_set(oracle):
     result = prime_implicates(example_kb(), PicConfig(max_iterations=10))
     assert result.converged
     assert result.iterations <= 10
     got = result.prime_implicates
     assert len(got) == 3
     for c in example_expected():
-        assert any(clause_entails(d, c) for d in got)
+        assert any(oracle.clause_entails(d, c) for d in got)
     for d in got:
-        assert is_implicate(example_kb(), d)
+        assert oracle.is_implicate(example_kb(), d)
 
 
 def test_answer_query_examples():
-    assert answer_query([cl("p")], cl("p | q"))
-    assert not answer_query([cl("p")], cl("q"))
+    assert covering_implicate([cl("p")], cl("p | q")) is not None
+    assert covering_implicate([cl("p")], cl("q")) is None
     pi = prime_implicates(example_kb()).prime_implicates
-    assert answer_query(pi, cl("[][](~p | r)"))
+    assert covering_implicate(pi, cl("[][](~p | r)")) is not None
 
 
 def test_covering_implicate_returns_the_cover():
@@ -182,10 +179,10 @@ def test_covering_implicate_returns_the_cover():
     assert covering_implicate([cl("p")], cl("q")) is None
 
 
-def test_is_implicate_examples():
-    assert is_implicate(make_cnf([cl("p"), cl("q")]), cl("p"))
-    assert not is_implicate(make_cnf([cl("p")]), cl("q"))
-    assert is_implicate(example_kb(), cl("<>(p & (~p | []r) & []r)"))
+def test_is_implicate_examples(oracle):
+    assert oracle.is_implicate(make_cnf([cl("p"), cl("q")]), cl("p"))
+    assert not oracle.is_implicate(make_cnf([cl("p")]), cl("q"))
+    assert oracle.is_implicate(example_kb(), cl("<>(p & (~p | []r) & []r)"))
 
 
 def test_fixpoint_stability():
@@ -203,14 +200,14 @@ def test_fixpoint_stability_random(rng):
         assert residue(closure_step_traced(pi)[0]) == pi
 
 
-def test_every_input_clause_is_covered(rng):
+def test_every_input_clause_is_covered(rng, oracle):
     for _ in range(10):
         kb = random_kb(rng, ("p", "q"), rng.randint(1, 3), 1, 2)
         result = prime_implicates(kb, PicConfig(max_iterations=15, clause_budget=600))
         if not result.converged:
             continue
         for c in kb:
-            assert any(clause_entails(d, c) for d in result.prime_implicates)
+            assert any(oracle.clause_entails(d, c) for d in result.prime_implicates)
 
 
 def test_iteration_cap_reports_unconverged():
@@ -227,9 +224,9 @@ def test_clause_budget_reports_stage():
     assert exc.value.stage == 1
 
 
-def _compile_outcome(kb, config, trace):
+def _compile_outcome(kb, config, trace=False, oracle=None):
     try:
-        return prime_implicates(kb, config, EntailmentOracle(Tableau()), trace=trace)
+        return prime_implicates(kb, config, oracle, trace=trace)
     except BudgetExceeded as e:
         return type(e), e.stage
 
@@ -265,6 +262,24 @@ def test_untraced_compile_matches_traced(rng):
     assert capped  # the mix reaches the cap
 
 
+# needs more tableau nodes than 30 when its verdict caches are cold
+BUDGET_KB = (
+    "~p | [](~p | <>((p | ~p) & (~q & (r | ~r))))",
+    "~q | []~p | [](r | [](p | r))",
+    "r",
+    "~q",
+)
+
+
+@pytest.mark.parametrize("nodes", [20, 30])
+def test_budget_verdict_does_not_depend_on_earlier_calls(nodes):
+    kb = make_cnf(cl(t) for t in BUDGET_KB)
+    config = PicConfig(tableau_node_budget=nodes)
+    outcomes = [_compile_outcome(kb, config) for _ in range(3)]
+    cold = _compile_outcome(kb, config, oracle=EntailmentOracle(Tableau()))
+    assert outcomes == [cold] * 3
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PicConfig(max_iterations=0)
@@ -282,9 +297,9 @@ def test_result_json_schema():
     assert steps  # at least the A1 resolution appears in the derivations
 
 
-def test_trace_records_drops_with_subsumers():
+def test_trace_records_drops_with_subsumers(oracle):
     result = prime_implicates(make_cnf([cl("p"), cl("~p | q"), cl("p | q")]))
     dropped = [pair for record in result.trace for pair in record.dropped]
     assert dropped
     for c, w in dropped:
-        assert clause_entails(w, c)
+        assert oracle.clause_entails(w, c)

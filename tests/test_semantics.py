@@ -6,14 +6,13 @@ from kprime import (
     Diamond,
     KripkeModel,
     Not,
+    RecursionDepthExceeded,
     TableauBudgetExceeded,
     Tableau,
     Var,
     enumerate_tree_models,
-    local_entails,
     model_check,
     parse,
-    satisfiable,
     variables,
 )
 from kprime.generators import random_formula
@@ -48,33 +47,33 @@ def test_model_check_unknown_world():
         model_check(_single_world(), 7, Var("p"))
 
 
-def test_satisfiable_contradiction():
-    assert not satisfiable(parse("p & ~p")).satisfiable
+def test_satisfiable_contradiction(tableau):
+    assert not tableau.satisfiable(parse("p & ~p")).satisfiable
 
 
-def test_satisfiable_box_kills_diamond():
-    assert not satisfiable(parse("<>p & []~p")).satisfiable
+def test_satisfiable_box_kills_diamond(tableau):
+    assert not tableau.satisfiable(parse("<>p & []~p")).satisfiable
 
 
-def test_satisfiable_returns_checkable_model():
+def test_satisfiable_returns_checkable_model(tableau):
     g = parse("<>p & []q")
-    verdict = satisfiable(g)
+    verdict = tableau.satisfiable(g)
     assert verdict.satisfiable
     assert len(verdict.model.worlds) == 2
     assert model_check(verdict.model, verdict.world, g)
 
 
-def test_local_entails_examples():
-    assert local_entails(parse("p & q"), parse("p"))
-    assert local_entails(parse("[](p & q)"), parse("[]p & []q"))
-    assert not local_entails(parse("<>p"), parse("[]p"))
+def test_local_entails_examples(tableau):
+    assert tableau.entails(parse("p & q"), parse("p"))
+    assert tableau.entails(parse("[](p & q)"), parse("[]p & []q"))
+    assert not tableau.entails(parse("<>p"), parse("[]p"))
 
 
-def test_local_entails_matches_satisfiability(rng):
+def test_local_entails_matches_satisfiability(rng, tableau):
     for _ in range(100):
         a = random_formula(rng, ("p", "q"), 1, rng.randint(1, 8))
         b = random_formula(rng, ("p", "q"), 1, rng.randint(1, 8))
-        assert local_entails(a, b) == (not satisfiable(And(a, Not(b))).satisfiable)
+        assert tableau.entails(a, b) == (not tableau.satisfiable(And(a, Not(b))).satisfiable)
 
 
 def test_enumeration_counts():
@@ -89,11 +88,11 @@ def test_enumeration_all_models_valid():
         assert model.root in model.worlds
 
 
-def test_box_is_dual_of_diamond_under_the_oracle(rng):
+def test_box_is_dual_of_diamond_under_the_oracle(rng, tableau):
     for _ in range(40):
         body = random_formula(rng, ("p", "q"), 1, rng.randint(1, 7))
         boxed, dual = Box(body), Not(Diamond(Not(body)))
-        assert local_entails(boxed, dual) and local_entails(dual, boxed)
+        assert tableau.entails(boxed, dual) and tableau.entails(dual, boxed)
 
 
 def test_box_diamond_duality_on_enumerated_models(rng):
@@ -105,10 +104,10 @@ def test_box_diamond_duality_on_enumerated_models(rng):
             assert boxed == dual
 
 
-def test_tableau_agrees_with_enumeration(rng):
+def test_tableau_agrees_with_enumeration(rng, tableau):
     for _ in range(120):
         g = random_formula(rng, ("p", "q"), rng.randint(0, 2), rng.randint(2, 10))
-        verdict = satisfiable(g)
+        verdict = tableau.satisfiable(g)
         if verdict.satisfiable:
             assert model_check(verdict.model, verdict.world, g)
         branching = min(3, len(diamond_subformulas(g)))
@@ -125,8 +124,18 @@ def test_node_budget_is_loud():
         Tableau(node_budget=2).satisfiable(f)
 
 
-def test_model_json_roundtrip():
-    verdict = satisfiable(parse("<>(p & q) & <>~p"))
+def test_deep_nesting_is_a_budget_error(tableau):
+    # nested deeper than the interpreter's stack: a budget error, never a
+    # bare RecursionError
+    deep = Var("p")
+    for _ in range(5000):
+        deep = Box(deep)
+    with pytest.raises(RecursionDepthExceeded):
+        tableau.satisfiable(deep)
+
+
+def test_model_json_roundtrip(tableau):
+    verdict = tableau.satisfiable(parse("<>(p & q) & <>~p"))
     m = verdict.model
     assert KripkeModel.from_json(m.to_json()) == m
 
