@@ -98,7 +98,7 @@ def cmd_query(args) -> int:
     try:
         compiled = json.loads(_read_file(args.compiled_file))
         pi = [clause_from_json(obj) for obj in compiled["prime_implicates"]]
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise CliError(f"{args.compiled_file}: not a compiled result ({e})") from e
     try:
         q = simplify(single_clause(parse(args.clause)))

@@ -26,12 +26,12 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, RecursionDepthExceeded
-from .syntax import BOT, And, Bottom, Box, Diamond, Formula, Not, Or, Var
+from .syntax import BOT, VAR_NAME, And, Bottom, Box, Diamond, Formula, Not, Or, Var
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<WS>\s+)
-    | (?P<VAR>[a-zA-Z][a-zA-Z0-9_]*)
+    | (?P<VAR>{VAR_NAME.pattern})
     | (?P<IFF><->)
     | (?P<IMP>->)
     | (?P<DIA><>)

@@ -12,10 +12,11 @@ pipeline is deterministic for a given input.
 
 Clause-to-clause entailment rides on the tableau; an EntailmentOracle
 caches verdicts per clause pair because residue and query answering repeat
-questions.  The caller owns that cache: every entry point takes an oracle,
-and one called without builds a fresh oracle (over a fresh Tableau) for
-that call alone, so no verdict or budget outcome carries over between
-calls the caller did not tie together.
+questions.  The caller owns that cache and, through the oracle's
+Tableau(node_budget=N), the node budget of every check.  Every entry point
+takes an oracle; one called without builds a fresh oracle over a fresh
+Tableau for that call alone, so no verdict or budget outcome carries over
+between calls the caller did not tie together.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
 from .normalization import simplify, simplify_cnf
-from .resolution import DEFAULT_MAX_DEPTH, closure_step_traced
+from .resolution import closure_step_traced
 from .semantics import Tableau
 from .syntax import (
     Clause,
@@ -44,11 +45,9 @@ class PicConfig:
 
     max_iterations: int = 20
     clause_budget: int = 5000
-    tableau_node_budget: int = 100_000
-    max_depth: int = DEFAULT_MAX_DEPTH
 
     def __post_init__(self):
-        for name in ("max_iterations", "clause_budget", "tableau_node_budget", "max_depth"):
+        for name in ("max_iterations", "clause_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -98,7 +97,7 @@ class EntailmentOracle:
     """Clause- and KB-level entailment over a tableau, with verdict caches.
 
     Without a tableau it builds its own; the caches live as long as the
-    oracle.
+    oracle, and every check runs under that tableau's node budget.
     """
 
     def __init__(self, tableau: Tableau | None = None):
@@ -106,25 +105,21 @@ class EntailmentOracle:
         self._pair_cache: dict = {}
         self._implicate_cache: dict = {}
 
-    def clause_entails(self, d: Clause, c: Clause, node_budget: int | None = None) -> bool:
+    def clause_entails(self, d: Clause, c: Clause) -> bool:
         """True iff every pointed model of d satisfies c."""
         key = (clause_key(d), clause_key(c))
         hit = self._pair_cache.get(key)
         if hit is None:
-            hit = self.tableau.entails(
-                clause_to_formula(d), clause_to_formula(c), node_budget
-            )
+            hit = self.tableau.entails(clause_to_formula(d), clause_to_formula(c))
             self._pair_cache[key] = hit
         return hit
 
-    def is_implicate(self, u: Cnf, c: Clause, node_budget: int | None = None) -> bool:
+    def is_implicate(self, u: Cnf, c: Clause) -> bool:
         """True iff the knowledge base entails the clause."""
         key = (cnf_key(u), clause_key(c))
         hit = self._implicate_cache.get(key)
         if hit is None:
-            hit = self.tableau.entails(
-                cnf_to_formula(u), clause_to_formula(c), node_budget
-            )
+            hit = self.tableau.entails(cnf_to_formula(u), clause_to_formula(c))
             self._implicate_cache[key] = hit
         return hit
 
@@ -160,11 +155,7 @@ def _antichain(clauses, dominates):
     return kept, dropped
 
 
-def residue_detailed(
-    clauses,
-    oracle: EntailmentOracle | None = None,
-    node_budget: int | None = None,
-):
+def residue_detailed(clauses, oracle: EntailmentOracle | None = None):
     """Entailment-minimal cover of a clause set.
 
     Returns (kept, dropped): kept is the antichain of strongest clauses,
@@ -173,7 +164,7 @@ def residue_detailed(
     that entails it.  Without an oracle, a fresh one serves this call.
     """
     oracle = oracle or EntailmentOracle()
-    return _antichain(clauses, lambda d, c: oracle.clause_entails(d, c, node_budget))
+    return _antichain(clauses, oracle.clause_entails)
 
 
 def subsumes(d: Clause, c: Clause) -> bool:
@@ -248,7 +239,6 @@ def prime_implicates(
             closure, stage_steps = closure_step_traced(
                 current,
                 clause_budget=config.clause_budget,
-                max_depth=config.max_depth,
                 trace=trace,
             )
         except BudgetExceeded as e:
@@ -264,9 +254,7 @@ def prime_implicates(
         current = new
 
     try:
-        final_kept, final_dropped = residue_detailed(
-            current, oracle, node_budget=config.tableau_node_budget
-        )
+        final_kept, final_dropped = residue_detailed(current, oracle)
     except BudgetExceeded as e:
         raise type(e)(e.args[0], stage=iterations) from e
     if final_dropped:

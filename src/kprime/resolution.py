@@ -226,20 +226,15 @@ def gamma_resolvents(a: Clause, max_depth: int = DEFAULT_MAX_DEPTH) -> tuple:
     return _dedup(_gamma(a, max_depth))
 
 
-def _layer(base, max_depth: int):
+def _layer(base):
     """Every derivation of one closure layer, pairs first, in clause-key order."""
     for i, a in enumerate(base):
         for b in base[i:]:
-            yield from _sigma(a, b, max_depth)
-        yield from _gamma(a, max_depth)
+            yield from _sigma(a, b, DEFAULT_MAX_DEPTH)
+        yield from _gamma(a, DEFAULT_MAX_DEPTH)
 
 
-def closure_step_traced(
-    clauses,
-    clause_budget: int | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    trace: bool = False,
-):
+def closure_step_traced(clauses, clause_budget: int | None = None, trace: bool = False):
     """One closure layer: the set plus every one-step resolvent.
 
     Returns (clause set, steps for conclusions not already in the input),
@@ -253,7 +248,7 @@ def closure_step_traced(
     base = sorted_clauses(set(clauses))
     out = set(base)
     steps = []  # with trace every derivation, without it the first per conclusion
-    for step in _layer(base, max_depth):
+    for step in _layer(base):
         if step.conclusion not in out:
             out.add(step.conclusion)
             if clause_budget is not None and len(out) > clause_budget:

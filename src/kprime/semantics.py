@@ -7,11 +7,11 @@ conditions, so a dead-end world satisfies every box.  Open tableaux yield
 finite tree models of depth at most the modal depth of the query, which the
 caller can re-check with model_check.
 
-A Tableau owns its memo of finished verdicts and nothing else caches
-them, so whoever creates one decides how long its verdicts are reused.
-Memo hits cost no node budget, so a budget verdict depends on what that
-Tableau decided before; a fresh Tableau asked the same queries in the same
-order reaches the same verdicts.
+A Tableau owns its node budget and its memo of finished verdicts: every
+search through it, an EntailmentOracle's included, runs under that budget.
+A search that fails on the budget or the stack leaves the memo as it found
+it, so the same query repeats its error; memo hits cost no nodes, so a
+different query can still pass on a memo warmed by earlier ones.
 
 A bounded enumeration of labeled tree models (duplicate-free up to
 isomorphism) serves as an independent ground truth for the tableau on
@@ -109,14 +109,6 @@ class SatResult:
     model: KripkeModel | None = None
     world: int | None = None
 
-    @classmethod
-    def sat(cls, model: KripkeModel, world: int) -> "SatResult":
-        return cls(True, model, world)
-
-    @classmethod
-    def unsat(cls) -> "SatResult":
-        return cls(False)
-
 
 @dataclass(frozen=True)
 class _Tree:
@@ -168,36 +160,46 @@ def _strip_top(formulas) -> frozenset:
 class Tableau:
     """Satisfiability procedure for K with a cross-query result cache.
 
+    node_budget, the only tableau budget, caps the nodes of each search.
     Queries are independent; the cache only stores finished verdicts for
     formula sets, so concurrent readers see consistent answers.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
+        if node_budget <= 0:
+            raise ValueError("node_budget must be positive")
         self.node_budget = node_budget
         self._memo: dict = {}
 
-    def satisfiable(self, f: Formula, node_budget: int | None = None) -> SatResult:
+    def satisfiable(self, f: Formula) -> SatResult:
         """Decide satisfiability; a SAT verdict carries a verifying tree model.
 
         Raises TableauBudgetExceeded when the search expands more nodes than
         the budget, and RecursionDepthExceeded when f is nested deeper than
-        the interpreter's stack allows.
+        the interpreter's stack allows; either way the memo is left as the
+        search found it.
         """
-        budget = _Budget(self.node_budget if node_budget is None else node_budget)
+        memo_size = len(self._memo)
         try:
-            tree = self._solve(_strip_top((nnf(f),)), budget)
+            tree = self._solve((nnf(f),), _Budget(self.node_budget))
             if tree is None:
-                return SatResult.unsat()
+                return SatResult(False)
             model = _tree_to_model(tree, sorted(variables(f)))
-        except RecursionError:
+        except (TableauBudgetExceeded, RecursionError) as e:
+            # dicts pop last-in first: this drops exactly the entries this call added
+            while len(self._memo) > memo_size:
+                self._memo.popitem()
+            if isinstance(e, TableauBudgetExceeded):
+                raise
             raise RecursionDepthExceeded("formula nested too deep to decide") from None
-        return SatResult.sat(model, model.root)
+        return SatResult(True, model, model.root)
 
-    def entails(self, f: Formula, g: Formula, node_budget: int | None = None) -> bool:
+    def entails(self, f: Formula, g: Formula) -> bool:
         """Local consequence: every pointed model of f satisfies g."""
-        return not self.satisfiable(And(f, Not(g)), node_budget).satisfiable
+        return not self.satisfiable(And(f, Not(g))).satisfiable
 
-    def _solve(self, formulas: frozenset, budget: _Budget) -> _Tree | None:
+    def _solve(self, formulas, budget: _Budget) -> _Tree | None:
+        formulas = _strip_top(formulas)
         if Bottom() in formulas:
             return None
         cached = self._memo.get(formulas)
@@ -213,14 +215,14 @@ class Tableau:
         if ands:
             f = min(ands, key=formula_sort_key)
             rest = (formulas - {f}) | {f.left, f.right}
-            return self._solve(_strip_top(rest), budget)
+            return self._solve(rest, budget)
 
         ors = [f for f in formulas if isinstance(f, Or)]
         if ors:
             f = min(ors, key=formula_sort_key)
             rest = formulas - {f}
             for branch in (f.left, f.right):
-                tree = self._solve(_strip_top(rest | {branch}), budget)
+                tree = self._solve(rest | {branch}, budget)
                 if tree is not None:
                     return tree
             return None
@@ -245,7 +247,7 @@ class Tableau:
         children = []
         boxes = frozenset(box_bodies)
         for body in sorted(diamonds, key=formula_sort_key):
-            child = self._solve(_strip_top({body} | boxes), budget)
+            child = self._solve({body} | boxes, budget)
             if child is None:
                 return None
             children.append(child)

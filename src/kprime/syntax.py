@@ -11,6 +11,7 @@ Everything here is a pure value: safe to hash, share and use as dict keys.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -64,6 +65,7 @@ class Box(Formula):
 
 BOT = Bottom()
 TOP = Not(BOT)  # no primitive verum; ~bot plays that role
+VAR_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")  # variable names; 'bot' is reserved
 
 
 def length(f: Formula) -> int:
@@ -258,15 +260,27 @@ def clause_to_json(c: Clause) -> dict:
     }
 
 
-def clause_from_json(obj: dict) -> Clause:
-    lits = set()
-    for s in obj.get("lits", ()):
-        if s.startswith("~"):
-            lits.add(Literal(s[1:], False))
-        else:
-            lits.add(Literal(s, True))
-    boxes = {clause_from_json(b) for b in obj.get("boxes", ())}
+def clause_from_json(obj) -> Clause:
+    """Inverse of clause_to_json; ValueError on anything it cannot produce."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a clause must be an object, not {obj!r}")
+    lits = {_literal_from_json(s) for s in _json_array(obj.get("lits", []))}
+    boxes = {clause_from_json(b) for b in _json_array(obj.get("boxes", []))}
     diamonds = {
-        frozenset(clause_from_json(m) for m in arr) for arr in obj.get("diamonds", ())
+        frozenset(clause_from_json(m) for m in _json_array(arr))
+        for arr in _json_array(obj.get("diamonds", []))
     }
     return Clause(frozenset(lits), frozenset(boxes), frozenset(diamonds))
+
+
+def _json_array(value) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"expected an array, not {value!r}")
+    return value
+
+
+def _literal_from_json(s) -> Literal:
+    name = s[1:] if isinstance(s, str) and s.startswith("~") else s
+    if not isinstance(name, str) or not VAR_NAME.fullmatch(name) or name == "bot":
+        raise ValueError(f"not a literal: {s!r}")
+    return Literal(name, not s.startswith("~"))

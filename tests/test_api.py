@@ -1,3 +1,4 @@
+import inspect
 import types
 
 import kprime
@@ -17,6 +18,17 @@ REMOVED = (
     "satisfiable",
 )
 
+# the Tableau's node_budget is the only tableau budget, and the closure's
+# resolvent depth cap is fixed
+REMOVED_PARAMETERS = (
+    (kprime.Tableau.satisfiable, "node_budget"),
+    (kprime.Tableau.entails, "node_budget"),
+    (kprime.EntailmentOracle.clause_entails, "node_budget"),
+    (kprime.EntailmentOracle.is_implicate, "node_budget"),
+    (kprime.residue_detailed, "node_budget"),
+    (kprime.closure_step_traced, "max_depth"),
+)
+
 
 def test_all_lists_each_public_name_once():
     assert len(kprime.__all__) == len(set(kprime.__all__))
@@ -31,3 +43,8 @@ def test_removed_entry_points_stay_removed():
     for name in REMOVED:
         assert name not in kprime.__all__
         assert not hasattr(kprime, name), name
+
+
+def test_removed_parameters_stay_removed():
+    for fn, name in REMOVED_PARAMETERS:
+        assert name not in inspect.signature(fn).parameters, (fn.__qualname__, name)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,13 +8,18 @@ from pathlib import Path
 import pytest
 
 from kprime.cli import main
+from kprime.generators import random_clause, random_formula, random_kb
+from kprime.parser import render
 from kprime.selftest import ALL_SUITES
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "example.k"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse rejects the arguments
+        code = e.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -191,11 +197,70 @@ def test_broken_pipe_exits_two(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
-def test_query_on_non_compiled_file_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 2, 3]",
+        '{"prime_implicates": [{"lits": [1]}]}',
+        '{"prime_implicates": [5]}',
+        '{"prime_implicates": [{"boxes": [{"lits": "q"}]}]}',
+        '{"prime_implicates": [{"lits": [""]}]}',
+    ],
+    ids=["list", "number-literal", "number-clause", "string-lits", "empty-literal"],
+)
+def test_query_on_non_compiled_file_exits_two(tmp_path, capsys, text):
     bad = tmp_path / "junk.json"
-    bad.write_text("[1, 2, 3]")
+    bad.write_text(text)
     code, _, err = run_cli(capsys, "query", str(bad), "--clause", "p")
     assert code == 2
+    assert "Traceback" not in err
+
+
+_EDIT_CHARS = "pqr~&|()[]<>-bot{}\":,0 \n"
+
+
+def _edit(rng, text):
+    """The text with 1-3 random character insertions, deletions or replacements."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(chars) + 1)
+        op = rng.choice(("insert", "delete", "replace")) if pos < len(chars) else "insert"
+        if op == "insert":
+            chars.insert(pos, rng.choice(_EDIT_CHARS))
+        elif op == "delete":
+            del chars[pos]
+        else:
+            chars[pos] = rng.choice(_EDIT_CHARS)
+    return "".join(chars)
+
+
+def test_fuzzed_cli_exits_with_a_documented_code(tmp_path, capsys):
+    rng = random.Random(2024)
+    runs = []  # (argv, file text or None)
+    for _ in range(100):
+        formula = render(random_formula(rng, "pqr", depth=2, size=rng.randint(1, 10)))
+        runs += [(["prove", formula], None), (["prove", _edit(rng, formula)], None)]
+    for i in range(90):
+        kb = random_kb(rng, "pqr", clauses=rng.randint(1, 4), depth=rng.randint(0, 2),
+                       width=rng.randint(1, 3))
+        flag = ("--formula", "--json", None)[i % 3]
+        clauses = sorted(str(c) for c in kb)
+        text = " & ".join(f"({c})" for c in clauses) if flag == "--formula" else "\n".join(clauses)
+        argv = ["compile", "KB", "--clause-budget", "30", "--max-iter", "8"] + ([flag] if flag else [])
+        runs += [(argv, text), (argv, _edit(rng, text))]
+    compiled = run_cli(capsys, "compile", str(EXAMPLE), "--json")[1]
+    for _ in range(50):
+        query = str(random_clause(rng, "pqr", depth=1, width=2))
+        runs += [(["query", "KB", "--clause", query], compiled),
+                 (["query", "KB", "--clause", query], _edit(rng, compiled))]
+    path = tmp_path / "input"
+    for argv, text in runs:
+        if text is not None:
+            path.write_text(text)
+            argv = [str(path) if a == "KB" else a for a in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3), (argv, text, code)
+        assert "Traceback" not in err, (argv, text, err)
 
 
 def test_compile_output_is_byte_identical_across_processes():

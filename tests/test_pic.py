@@ -10,6 +10,7 @@ from kprime import (
     PicConfig,
     PicResult,
     Tableau,
+    TableauBudgetExceeded,
     closure_step_traced,
     covering_implicate,
     make_clause,
@@ -274,10 +275,17 @@ BUDGET_KB = (
 @pytest.mark.parametrize("nodes", [20, 30])
 def test_budget_verdict_does_not_depend_on_earlier_calls(nodes):
     kb = make_cnf(cl(t) for t in BUDGET_KB)
-    config = PicConfig(tableau_node_budget=nodes)
-    outcomes = [_compile_outcome(kb, config) for _ in range(3)]
-    cold = _compile_outcome(kb, config, oracle=EntailmentOracle(Tableau()))
+    shared = EntailmentOracle(Tableau(node_budget=nodes))
+    outcomes = [_compile_outcome(kb, None, oracle=shared) for _ in range(3)]
+    cold = _compile_outcome(kb, None, oracle=EntailmentOracle(Tableau(node_budget=nodes)))
     assert outcomes == [cold] * 3
+
+
+def test_tableau_budget_bounds_the_compile():
+    kb = make_cnf(cl(t) for t in BUDGET_KB)
+    with pytest.raises(TableauBudgetExceeded) as exc:
+        prime_implicates(kb, oracle=EntailmentOracle(Tableau(node_budget=30)))
+    assert exc.value.stage is not None
 
 
 def test_config_validation():
@@ -285,6 +293,10 @@ def test_config_validation():
         PicConfig(max_iterations=0)
     with pytest.raises(ValueError):
         PicConfig(clause_budget=-5)
+    # the tableau owns the node budget; the resolvent depth cap is fixed
+    for removed in ("tableau_node_budget", "max_depth"):
+        with pytest.raises(TypeError):
+            PicConfig(**{removed: 5})
 
 
 def test_result_json_schema():

@@ -124,6 +124,12 @@ def test_node_budget_is_loud():
         Tableau(node_budget=2).satisfiable(f)
 
 
+@pytest.mark.parametrize("nodes", [0, -1])
+def test_node_budget_must_be_positive(nodes):
+    with pytest.raises(ValueError):
+        Tableau(node_budget=nodes)
+
+
 def test_deep_nesting_is_a_budget_error(tableau):
     # nested deeper than the interpreter's stack: a budget error, never a
     # bare RecursionError
