@@ -15,12 +15,12 @@ import sys
 from .brute import prime_implicates_brute
 from .cnf import single_clause, to_cnf
 from .errors import BudgetExceeded, ParseError
-from .normalization import make_cnf, simplify
+from .normalization import make_cnf
 from .parser import parse
-from .pic import PicConfig, covering_implicate, prime_implicates
+from .pic import PicConfig, clause_order, covering_implicate, prime_implicates
 from .selftest import run_all
 from .semantics import Tableau
-from .syntax import clause_key, clause_length, clause_to_json, clause_from_json
+from .syntax import clause_to_json, clause_from_json
 
 USAGE_ERROR, BUDGET_ERROR = 2, 3
 
@@ -70,10 +70,6 @@ def load_kb(path: str, whole_formula: bool = False):
     return make_cnf(clauses)
 
 
-def _sorted_clause_list(clauses):
-    return sorted(clauses, key=lambda c: (clause_length(c), clause_key(c)))
-
-
 def cmd_compile(args) -> int:
     kb = load_kb(args.kb_file, whole_formula=args.formula)
     config = PicConfig(
@@ -101,7 +97,7 @@ def cmd_query(args) -> int:
     except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise CliError(f"{args.compiled_file}: not a compiled result ({e})") from e
     try:
-        q = simplify(single_clause(parse(args.clause)))
+        q = single_clause(parse(args.clause))
     except ValueError as e:
         raise CliError(f"--clause: {e}") from e
     cover = covering_implicate(pi, q)
@@ -129,7 +125,7 @@ def cmd_oracle(args) -> int:
     if not vocab:
         raise CliError("--vars needs at least one variable name")
     out = prime_implicates_brute(kb, vocab, args.depth, args.width)
-    print(json.dumps([clause_to_json(c) for c in _sorted_clause_list(out)], indent=2))
+    print(json.dumps([clause_to_json(c) for c in sorted(out, key=clause_order)], indent=2))
     return 0
 
 
@@ -154,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit the result as JSON")
     p.add_argument("--trace", action="store_true",
                    help="emit resolution derivations as JSON lines before the result")
-    p.add_argument("--max-iter", type=int, default=20, metavar="N")
-    p.add_argument("--clause-budget", type=int, default=5000, metavar="N")
+    p.add_argument("--max-iter", type=int, default=PicConfig.max_iterations, metavar="N")
+    p.add_argument("--clause-budget", type=int, default=PicConfig.clause_budget, metavar="N")
     p.add_argument("--formula", action="store_true",
                    help="treat the file as one formula and convert it first")
     p.set_defaults(run=cmd_compile)

@@ -5,7 +5,9 @@ disjunction multiplies clause sets, box distributes over the conjuncts of
 its body, and a diamond wraps its body's clause set as a single component.
 No renaming is performed: prime implicates are defined over the input
 vocabulary, and fresh variables would change the implicate set.  The
-distribution blowup is guarded by a clause-count budget.
+distribution blowup is guarded by a clause-count budget: to_cnf's
+clause_budget, DEFAULT_CLAUSE_BUDGET unless the caller passes one
+(single_clause always converts at that default).
 """
 
 from __future__ import annotations
@@ -105,9 +107,9 @@ def to_cnf(f: Formula, clause_budget: int = DEFAULT_CLAUSE_BUDGET) -> Cnf:
         raise RecursionDepthExceeded("formula nested too deep to convert") from None
 
 
-def single_clause(f: Formula, clause_budget: int = DEFAULT_CLAUSE_BUDGET) -> Clause:
+def single_clause(f: Formula) -> Clause:
     """Convert a formula that denotes one clause; raises ValueError otherwise."""
-    clauses = to_cnf(f, clause_budget)
+    clauses = to_cnf(f)
     if len(clauses) != 1:
         raise ValueError(
             f"expected a single clause, got {len(clauses)} after conversion"

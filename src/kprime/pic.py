@@ -11,8 +11,9 @@ the representative with the smallest (length, key) pair, so the whole
 pipeline is deterministic for a given input.
 
 Clause-to-clause entailment rides on the tableau; an EntailmentOracle
-caches verdicts per clause pair because residue and query answering repeat
-questions.  The caller owns that cache and, through the oracle's
+caches verdicts per clause pair, and only those, because residue and query
+answering repeat them (a repeated KB-level question is answered by the
+tableau's memo).  The caller owns that cache and, through the oracle's
 Tableau(node_budget=N), the node budget of every check.  Every entry point
 takes an oracle; one called without builds a fresh oracle over a fresh
 Tableau for that call alone, so no verdict or budget outcome carries over
@@ -34,7 +35,6 @@ from .syntax import (
     clause_length,
     clause_to_formula,
     clause_to_json,
-    cnf_key,
     cnf_to_formula,
 )
 
@@ -82,7 +82,7 @@ class PicResult:
     steps: tuple = field(default=(), compare=False, repr=False)
 
     def sorted_implicates(self) -> list:
-        return sorted(self.prime_implicates, key=_residue_order)
+        return sorted(self.prime_implicates, key=clause_order)
 
     def to_json(self) -> dict:
         return {
@@ -94,16 +94,15 @@ class PicResult:
 
 
 class EntailmentOracle:
-    """Clause- and KB-level entailment over a tableau, with verdict caches.
+    """Clause- and KB-level entailment over a tableau, caching clause pairs.
 
-    Without a tableau it builds its own; the caches live as long as the
-    oracle, and every check runs under that tableau's node budget.
+    Without a tableau it builds its own; the pair cache lives as long as
+    the oracle, and every check runs under that tableau's node budget.
     """
 
     def __init__(self, tableau: Tableau | None = None):
         self.tableau = tableau if tableau is not None else Tableau()
         self._pair_cache: dict = {}
-        self._implicate_cache: dict = {}
 
     def clause_entails(self, d: Clause, c: Clause) -> bool:
         """True iff every pointed model of d satisfies c."""
@@ -115,16 +114,12 @@ class EntailmentOracle:
         return hit
 
     def is_implicate(self, u: Cnf, c: Clause) -> bool:
-        """True iff the knowledge base entails the clause."""
-        key = (cnf_key(u), clause_key(c))
-        hit = self._implicate_cache.get(key)
-        if hit is None:
-            hit = self.tableau.entails(cnf_to_formula(u), clause_to_formula(c))
-            self._implicate_cache[key] = hit
-        return hit
+        """True iff the knowledge base entails the clause; the tableau's memo answers repeats."""
+        return self.tableau.entails(cnf_to_formula(u), clause_to_formula(c))
 
 
-def _residue_order(c: Clause):
+def clause_order(c: Clause):
+    """Order of compiled sets: shorter clauses first, ties by canonical key."""
     return (clause_length(c), clause_key(c))
 
 
@@ -140,7 +135,7 @@ def _antichain(clauses, dominates):
     joins.  dominates must be transitive, so that every visited clause
     stays dominated by some front member and one pass suffices.
     """
-    items = sorted(set(clauses), key=_residue_order)
+    items = sorted(set(clauses), key=clause_order)
     front: list = []
     for c in items:
         if any(dominates(m, c) for m in front):
@@ -233,29 +228,26 @@ def prime_implicates(
     steps = []
     converged = False
     iterations = 0
-    for stage in range(1, config.max_iterations + 1):
-        iterations = stage
-        try:
+    try:
+        for stage in range(1, config.max_iterations + 1):
+            iterations = stage
             closure, stage_steps = closure_step_traced(
                 current,
                 clause_budget=config.clause_budget,
                 trace=trace,
             )
-        except BudgetExceeded as e:
-            raise type(e)(e.args[0], stage=stage) from e
-        kept, dropped = subsumption_reduce(closure)
-        if trace:
-            steps.extend(stage_steps)
-        records.append(StageRecord(stage, len(closure), len(kept), dropped))
-        new = frozenset(kept)
-        if new == current:
-            converged = True
-            break
-        current = new
-
-    try:
+            kept, dropped = subsumption_reduce(closure)
+            if trace:
+                steps.extend(stage_steps)
+            records.append(StageRecord(stage, len(closure), len(kept), dropped))
+            new = frozenset(kept)
+            if new == current:
+                converged = True
+                break
+            current = new
         final_kept, final_dropped = residue_detailed(current, oracle)
     except BudgetExceeded as e:
+        # the closure of stage `iterations`, or the residue after it
         raise type(e)(e.args[0], stage=iterations) from e
     if final_dropped:
         records.append(
@@ -276,7 +268,7 @@ def covering_implicate(
     """
     oracle = oracle or EntailmentOracle()
     q = simplify(q)
-    for d in sorted(pi, key=_residue_order):
+    for d in sorted(pi, key=clause_order):
         if oracle.clause_entails(d, q):
             return d
     return None

@@ -27,7 +27,9 @@ across steps is the compiler's job, not this module's.  One routine,
 closure_step_traced, computes it with or without a trace.  The rules yield
 conclusions one at a time, and the closure checks its clause budget per
 distinct conclusion, so a capped layer stops one clause past the cap.
-Derivations are kept and ranked only when a trace is asked for.
+Derivations are kept and ranked only when a trace is asked for.  The
+resolvent search depth cap is the constant DEFAULT_MAX_DEPTH; the clause
+budget is the caller's (PicConfig.clause_budget when the compiler calls).
 """
 
 from __future__ import annotations
@@ -44,10 +46,12 @@ from .syntax import (
     Clause,
     clause_key,
     cnf_key,
+    literal_sort_key,
     sorted_clauses,
 )
 
 DEFAULT_MAX_DEPTH = 64
+_TOO_DEEP = f"resolvent search nested deeper than {DEFAULT_MAX_DEPTH} levels"
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,13 @@ def _wrap_gamma(a: Clause, core: ResolutionStep, rem: Clause) -> ResolutionStep:
 
 def _sigma(a: Clause, b: Clause, depth: int):
     if depth < 0:
-        raise RecursionDepthExceeded("resolvent search nested too deep")
+        raise RecursionDepthExceeded(_TOO_DEEP)
     if a.is_bottom or b.is_bottom:
         # a bottom premise resolves the pair away entirely
         yield ResolutionStep("A1'", (a, b), BOTTOM_CLAUSE)
         return
 
-    for lit in sorted(a.literals, key=lambda l: (l.variable, not l.positive)):
+    for lit in sorted(a.literals, key=literal_sort_key):
         comp = lit.negate()
         if comp not in b.literals:
             continue
@@ -160,7 +164,7 @@ def _sigma(a: Clause, b: Clause, depth: int):
 
 def _gamma(a: Clause, depth: int):
     if depth < 0:
-        raise RecursionDepthExceeded("resolvent search nested too deep")
+        raise RecursionDepthExceeded(_TOO_DEEP)
 
     for d in sorted_clauses(a.boxes):
         rem = Clause(a.literals, a.boxes - {d}, a.diamonds)
@@ -216,14 +220,14 @@ def _dedup(steps) -> tuple:
     return tuple(best[key][1] for key in sorted(best))
 
 
-def sigma_resolvents(a: Clause, b: Clause, max_depth: int = DEFAULT_MAX_DEPTH) -> tuple:
+def sigma_resolvents(a: Clause, b: Clause) -> tuple:
     """All resolvents of a clause pair, one derivation per conclusion."""
-    return _dedup(_sigma(a, b, max_depth))
+    return _dedup(_sigma(a, b, DEFAULT_MAX_DEPTH))
 
 
-def gamma_resolvents(a: Clause, max_depth: int = DEFAULT_MAX_DEPTH) -> tuple:
+def gamma_resolvents(a: Clause) -> tuple:
     """All single-premise resolvents of a clause, one derivation per conclusion."""
-    return _dedup(_gamma(a, max_depth))
+    return _dedup(_gamma(a, DEFAULT_MAX_DEPTH))
 
 
 def _layer(base):

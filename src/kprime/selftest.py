@@ -33,7 +33,7 @@ from .pic import (
     prime_implicates,
     residue_detailed,
 )
-from .resolution import closure_step_traced, sigma_resolvents
+from .resolution import DEFAULT_MAX_DEPTH, closure_step_traced, sigma_resolvents
 from .semantics import (
     Tableau,
     diamond_subformulas,
@@ -437,7 +437,7 @@ def suite_query_agreement(seed: int = 2029, kbs: int = 20) -> SuiteResult:
 
 
 def suite_budget_mechanisms() -> SuiteResult:
-    """The configurable caps exist and fail loudly, never silently."""
+    """Every resource cap exists and fails loudly, never silently."""
     start = time.perf_counter()
     failures = []
     checked = 0
@@ -455,9 +455,15 @@ def suite_budget_mechanisms() -> SuiteResult:
         failures.append("tableau ignored its node budget")
     except TableauBudgetExceeded:
         checked += 1
+    # the resolvent depth cap is DEFAULT_MAX_DEPTH (64): clauses 64 boxes
+    # deep resolve, 65 do not
+    at_cap, past_cap = (
+        [single_clause(parse("[]" * n + lit)) for lit in ("p", "~p")]
+        for n in (DEFAULT_MAX_DEPTH, DEFAULT_MAX_DEPTH + 1)
+    )
+    sigma_resolvents(*at_cap)
     try:
-        kb = make_cnf((single_clause(parse("[]p")), single_clause(parse("[](~p | q)"))))
-        sigma_resolvents(*sorted(kb, key=clause_key), max_depth=0)
+        sigma_resolvents(*past_cap)
         failures.append("resolvent search ignored its depth cap")
     except RecursionDepthExceeded:
         checked += 1

@@ -8,7 +8,8 @@ finite tree models of depth at most the modal depth of the query, which the
 caller can re-check with model_check.
 
 A Tableau owns its node budget and its memo of finished verdicts: every
-search through it, an EntailmentOracle's included, runs under that budget.
+search through it, an EntailmentOracle's included, runs under that budget,
+and the Tableau counts each search's nodes itself.
 A search that fails on the budget or the stack leaves the memo as it found
 it, so the same query repeats its error; memo hits cost no nodes, so a
 different query can still pass on a memo warmed by earlier ones.
@@ -141,18 +142,6 @@ def _tree_to_model(tree: _Tree, vocab) -> KripkeModel:
     )
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, nodes: int):
-        self.left = nodes
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise TableauBudgetExceeded("tableau node budget exhausted")
-
-
 def _strip_top(formulas) -> frozenset:
     return frozenset(f for f in formulas if f != TOP)
 
@@ -160,15 +149,17 @@ def _strip_top(formulas) -> frozenset:
 class Tableau:
     """Satisfiability procedure for K with a cross-query result cache.
 
-    node_budget, the only tableau budget, caps the nodes of each search.
-    Queries are independent; the cache only stores finished verdicts for
-    formula sets, so concurrent readers see consistent answers.
+    node_budget, the only tableau budget, caps the nodes of each search;
+    the tableau counts the nodes of its current search itself, so it runs
+    one search at a time.  The cache only stores finished verdicts for
+    formula sets.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
         if node_budget <= 0:
             raise ValueError("node_budget must be positive")
         self.node_budget = node_budget
+        self._nodes = 0  # nodes expanded by the current search
         self._memo: dict = {}
 
     def satisfiable(self, f: Formula) -> SatResult:
@@ -180,8 +171,9 @@ class Tableau:
         search found it.
         """
         memo_size = len(self._memo)
+        self._nodes = 0
         try:
-            tree = self._solve((nnf(f),), _Budget(self.node_budget))
+            tree = self._solve((nnf(f),))
             if tree is None:
                 return SatResult(False)
             model = _tree_to_model(tree, sorted(variables(f)))
@@ -198,31 +190,35 @@ class Tableau:
         """Local consequence: every pointed model of f satisfies g."""
         return not self.satisfiable(And(f, Not(g))).satisfiable
 
-    def _solve(self, formulas, budget: _Budget) -> _Tree | None:
+    def _solve(self, formulas) -> _Tree | None:
         formulas = _strip_top(formulas)
         if Bottom() in formulas:
             return None
         cached = self._memo.get(formulas)
         if cached is not None or formulas in self._memo:
             return cached
-        budget.spend()
-        result = self._expand(formulas, budget)
+        self._nodes += 1
+        if self._nodes > self.node_budget:
+            raise TableauBudgetExceeded(
+                f"tableau search expanded {self._nodes} nodes, over the budget of {self.node_budget}"
+            )
+        result = self._expand(formulas)
         self._memo[formulas] = result
         return result
 
-    def _expand(self, formulas: frozenset, budget: _Budget) -> _Tree | None:
+    def _expand(self, formulas: frozenset) -> _Tree | None:
         ands = [f for f in formulas if isinstance(f, And)]
         if ands:
             f = min(ands, key=formula_sort_key)
             rest = (formulas - {f}) | {f.left, f.right}
-            return self._solve(rest, budget)
+            return self._solve(rest)
 
         ors = [f for f in formulas if isinstance(f, Or)]
         if ors:
             f = min(ors, key=formula_sort_key)
             rest = formulas - {f}
             for branch in (f.left, f.right):
-                tree = self._solve(rest | {branch}, budget)
+                tree = self._solve(rest | {branch})
                 if tree is not None:
                     return tree
             return None
@@ -247,7 +243,7 @@ class Tableau:
         children = []
         boxes = frozenset(box_bodies)
         for body in sorted(diamonds, key=formula_sort_key):
-            child = self._solve({body} | boxes, budget)
+            child = self._solve({body} | boxes)
             if child is None:
                 return None
             children.append(child)

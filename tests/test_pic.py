@@ -186,6 +186,17 @@ def test_is_implicate_examples(oracle):
     assert oracle.is_implicate(example_kb(), cl("<>(p & (~p | []r) & []r)"))
 
 
+@pytest.mark.parametrize(
+    "text, entailed", [("<>(p & (~p | []r) & []r)", True), ("[]p", False)]
+)
+def test_repeated_is_implicate_is_answered_by_the_memo(oracle, text, entailed):
+    kb, c = example_kb(), cl(text)
+    assert oracle.is_implicate(kb, c) is entailed
+    memo_size = len(oracle.tableau._memo)
+    assert oracle.is_implicate(kb, c) is entailed
+    assert len(oracle.tableau._memo) == memo_size
+
+
 def test_fixpoint_stability():
     pi = prime_implicates(example_kb()).prime_implicates
     assert residue(closure_step_traced(pi)[0]) == pi

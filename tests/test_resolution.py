@@ -172,8 +172,15 @@ def test_one_witness_per_conclusion():
 
 
 def test_depth_cap_raises():
-    with pytest.raises(RecursionDepthExceeded):
-        sigma_resolvents(cl("[]p"), cl("[]~p"), max_depth=0)
+    # the cap is DEFAULT_MAX_DEPTH, 64 nested boxes, and the error names it
+    a, b = cl("[]" * 65 + "p"), cl("[]" * 65 + "~p")
+    with pytest.raises(RecursionDepthExceeded, match="64"):
+        sigma_resolvents(a, b)
+    with pytest.raises(RecursionDepthExceeded, match="64"):
+        gamma_resolvents(a)
+    a, b = cl("[]" * 64 + "p"), cl("[]" * 64 + "~p")
+    assert conclusions(sigma_resolvents(a, b)) == {cl("[]" * 64 + "bot")}
+    assert gamma_resolvents(a)
 
 
 def test_clause_budget_on_closure():

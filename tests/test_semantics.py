@@ -120,8 +120,9 @@ def test_tableau_agrees_with_enumeration(rng, tableau):
 
 def test_node_budget_is_loud():
     f = parse("(p1 | q1) & (p2 | q2) & (p3 | q3) & (p4 | q4)")
-    with pytest.raises(TableauBudgetExceeded):
+    with pytest.raises(TableauBudgetExceeded) as exc:
         Tableau(node_budget=2).satisfiable(f)
+    assert "budget of 2" in str(exc.value)
 
 
 @pytest.mark.parametrize("nodes", [0, -1])
