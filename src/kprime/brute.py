@@ -15,6 +15,7 @@ from itertools import combinations
 from .normalization import simplify_cnf
 from .pic import EntailmentOracle, residue_detailed
 from .syntax import (
+    EMPTY,
     Clause,
     Cnf,
     Literal,
@@ -50,9 +51,9 @@ def _clause_space(vocab: tuple, depth: int, width: int) -> tuple:
     out = []
     for k in range(width + 1):
         for combo in combinations(pool, k):
-            lits = frozenset(item for tag, item in combo if tag == "lit")
-            boxes = frozenset(item for tag, item in combo if tag == "box")
-            dias = frozenset(item for tag, item in combo if tag == "dia")
+            lits = frozenset(item for tag, item in combo if tag == "lit") or EMPTY
+            boxes = frozenset(item for tag, item in combo if tag == "box") or EMPTY
+            dias = frozenset(item for tag, item in combo if tag == "dia") or EMPTY
             out.append(Clause(lits, boxes, dias))
     out.sort(key=clause_key)
     return tuple(out)

@@ -16,6 +16,7 @@ from .errors import ClauseBudgetExceeded, RecursionDepthExceeded
 from .normalization import conjoin, diamond, disjoin
 from .syntax import (
     BOTTOM_CLAUSE,
+    EMPTY,
     And,
     Bottom,
     Box,
@@ -58,7 +59,9 @@ def nnf(f: Formula, negated: bool = False) -> Formula:
 def _check(clauses, budget: int):
     if len(clauses) > budget:
         raise ClauseBudgetExceeded(
-            f"CNF conversion produced more than {budget} clauses"
+            f"CNF conversion produced more than {budget} clauses",
+            reached=len(clauses),
+            limit=budget,
         )
     return clauses
 
@@ -70,7 +73,7 @@ def _convert(f: Formula, budget: int) -> Cnf:
         return frozenset((Clause(literals=frozenset((Literal(f.name, True),))),))
     if isinstance(f, Not):
         if isinstance(f.body, Bottom):
-            return frozenset()  # verum: the empty conjunction
+            return EMPTY  # verum: the empty conjunction
         return frozenset((Clause(literals=frozenset((Literal(f.body.name, False),))),))
     if isinstance(f, Bottom):
         return frozenset((BOTTOM_CLAUSE,))
@@ -79,16 +82,18 @@ def _convert(f: Formula, budget: int) -> Cnf:
     if isinstance(f, Or):
         left, right = _convert(f.left, budget), _convert(f.right, budget)
         if not left or not right:
-            return frozenset()  # either side is verum
+            return EMPTY  # either side is verum
         if len(left) * len(right) > budget:
             raise ClauseBudgetExceeded(
-                f"CNF distribution would exceed {budget} clauses"
+                f"CNF distribution would exceed {budget} clauses",
+                reached=len(left) * len(right),
+                limit=budget,
             )
         return _check(conjoin([disjoin(a, b) for a in left for b in right]), budget)
     if isinstance(f, Box):
         # box distributes over the conjunction of the body's clauses
         body = _convert(f.body, budget)
-        return _check(frozenset(Clause(boxes=frozenset((c,))) for c in body), budget)
+        return _check(frozenset(Clause(boxes=frozenset((c,))) for c in body) or EMPTY, budget)
     if isinstance(f, Diamond):
         return frozenset((diamond(_convert(f.body, budget)),))
     raise TypeError(f"unexpected connective after NNF: {f!r}")

@@ -26,10 +26,16 @@ class ParseError(KPrimeError):
 
 
 class BudgetExceeded(KPrimeError):
-    """Base class for configurable resource-cap violations."""
+    """Base class for configurable resource-cap violations.
 
-    def __init__(self, message, stage=None):
+    reached and limit, where the raiser knows them, are the count that
+    crossed the cap and the cap itself, as integers; the message names both.
+    """
+
+    def __init__(self, message, stage=None, reached=None, limit=None):
         self.stage = stage
+        self.reached = reached
+        self.limit = limit
         if stage is not None:
             message = f"{message} (at stage {stage})"
         super().__init__(message)

@@ -21,12 +21,13 @@ children can fire, and the constructors below apply exactly those instead
 of running the rewriter again: disjoin unions disjuncts (a bottom clause
 has no parts, so it drops out by itself), conjoin collapses a clause set
 holding bottom, and diamond drops a diamond over bottom.  Duplicates merge
-because every part is a set.
+because every part is a set.  Every empty part these build, and every empty
+clause set, is syntax.EMPTY.
 """
 
 from __future__ import annotations
 
-from .syntax import BOTTOM_CLAUSE, Clause, Cnf
+from .syntax import BOTTOM_CLAUSE, EMPTY, Clause, Cnf
 
 
 _BOTTOM_CNF = frozenset((BOTTOM_CLAUSE,))
@@ -34,8 +35,8 @@ _BOTTOM_CNF = frozenset((BOTTOM_CLAUSE,))
 
 def simplify(c: Clause) -> Clause:
     """Normal form of a clause under the simplification congruence."""
-    literals = frozenset(c.literals)
-    boxes = frozenset(simplify(b) for b in c.boxes)
+    literals = frozenset(c.literals) or EMPTY
+    boxes = frozenset(simplify(b) for b in c.boxes) or EMPTY
     diamonds = set()
     for s in c.diamonds:
         body = simplify_cnf(s)
@@ -43,7 +44,7 @@ def simplify(c: Clause) -> Clause:
             # diamond over bottom is bottom, and a bottom disjunct drops out
             continue
         diamonds.add(body)
-    return Clause(literals, boxes, frozenset(diamonds))
+    return Clause(literals, boxes, frozenset(diamonds) or EMPTY)
 
 
 def simplify_cnf(s) -> Cnf:
@@ -53,20 +54,20 @@ def simplify_cnf(s) -> Cnf:
 
 def disjoin(*clauses: Clause) -> Clause:
     """Disjunction of clauses; normal when every argument is."""
-    lits, boxes, dias = frozenset(), frozenset(), frozenset()
+    lits, boxes, dias = EMPTY, EMPTY, EMPTY
     for c in clauses:
         lits |= c.literals
         boxes |= c.boxes
         dias |= c.diamonds
-    return Clause(lits, boxes, dias)
+    return Clause(lits or EMPTY, boxes or EMPTY, dias or EMPTY)
 
 
 def conjoin(*sets) -> Cnf:
     """Conjunction of clause sets; normal when every member is."""
-    members = frozenset().union(*sets)
+    members = EMPTY.union(*sets)
     if BOTTOM_CLAUSE in members:
         return _BOTTOM_CNF
-    return members
+    return members or EMPTY
 
 
 def diamond(s: Cnf) -> Clause:

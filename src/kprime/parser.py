@@ -46,7 +46,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str
     text: str
@@ -204,19 +204,27 @@ def parse(text: str) -> Formula:
 
 
 def render(f: Formula) -> str:
-    """Print a formula so that parse(render(f)) == f."""
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Bottom):
-        return "bot"
-    if isinstance(f, Not):
-        return "~" + render(f.body)
-    if isinstance(f, Box):
-        return "[]" + render(f.body)
-    if isinstance(f, Diamond):
-        return "<>" + render(f.body)
-    if isinstance(f, And):
-        return f"({render(f.left)} & {render(f.right)})"
-    if isinstance(f, Or):
-        return f"({render(f.left)} | {render(f.right)})"
+    """Print a formula so that parse(render(f)) == f.
+
+    Raises RecursionDepthExceeded if f is nested deeper than the
+    interpreter's stack allows.
+    """
+    try:
+        if isinstance(f, Var):
+            return f.name
+        if isinstance(f, Bottom):
+            return "bot"
+        if isinstance(f, Not):
+            return "~" + render(f.body)
+        if isinstance(f, Box):
+            return "[]" + render(f.body)
+        if isinstance(f, Diamond):
+            return "<>" + render(f.body)
+        if isinstance(f, And):
+            return f"({render(f.left)} & {render(f.right)})"
+        if isinstance(f, Or):
+            return f"({render(f.left)} | {render(f.right)})"
+    except RecursionError:
+        # as in syntax.modal_depth: the innermost level that can raise this does
+        raise RecursionDepthExceeded("formula nested too deep to print") from None
     raise TypeError(f"not a formula: {f!r}")

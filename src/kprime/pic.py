@@ -29,6 +29,7 @@ from .normalization import simplify, simplify_cnf
 from .resolution import closure_step_traced
 from .semantics import Tableau
 from .syntax import (
+    EMPTY,
     Clause,
     Cnf,
     clause_key,
@@ -52,7 +53,7 @@ class PicConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StageRecord:
     """What one closure-plus-reduction stage (or the final minimization) did."""
 
@@ -72,7 +73,7 @@ class StageRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PicResult:
     prime_implicates: frozenset
     iterations: int
@@ -222,7 +223,7 @@ def prime_implicates(
     oracle = oracle or EntailmentOracle()
     current = simplify_cnf(u)
     if not current:
-        return PicResult(frozenset(), 0, (), True)
+        return PicResult(EMPTY, 0, (), True)
 
     records = []
     steps = []
@@ -248,7 +249,7 @@ def prime_implicates(
         final_kept, final_dropped = residue_detailed(current, oracle)
     except BudgetExceeded as e:
         # the closure of stage `iterations`, or the residue after it
-        raise type(e)(e.args[0], stage=iterations) from e
+        raise type(e)(e.args[0], stage=iterations, reached=e.reached, limit=e.limit) from e
     if final_dropped:
         records.append(
             StageRecord(iterations + 1, len(current), len(final_kept), final_dropped)

@@ -43,6 +43,7 @@ from .normalization import conjoin, diamond, disjoin
 from .normalization import simplify, simplify_cnf  # noqa: F401
 from .syntax import (
     BOTTOM_CLAUSE,
+    EMPTY,
     Clause,
     clause_key,
     cnf_key,
@@ -54,7 +55,7 @@ DEFAULT_MAX_DEPTH = 64
 _TOO_DEEP = f"resolvent search nested deeper than {DEFAULT_MAX_DEPTH} levels"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolutionStep:
     """One rule application; sub holds the derivation it was lifted from."""
 
@@ -115,8 +116,8 @@ def _sigma(a: Clause, b: Clause, depth: int):
         if comp not in b.literals:
             continue
         core = ResolutionStep("A1", (_unit_lit(lit), _unit_lit(comp)), BOTTOM_CLAUSE)
-        rem_a = Clause(a.literals - {lit}, a.boxes, a.diamonds)
-        rem_b = Clause(b.literals - {comp}, b.boxes, b.diamonds)
+        rem_a = Clause(a.literals - {lit} or EMPTY, a.boxes, a.diamonds)
+        rem_b = Clause(b.literals - {comp} or EMPTY, b.boxes, b.diamonds)
         yield _wrap_sigma(a, b, core, rem_a, rem_b)
 
     for da in sorted_clauses(a.boxes):
@@ -126,8 +127,8 @@ def _sigma(a: Clause, b: Clause, depth: int):
                 core = ResolutionStep(
                     "sigma-boxbox", (_unit_box(da), _unit_box(db)), conclusion, (inner,)
                 )
-                rem_a = Clause(a.literals, a.boxes - {da}, a.diamonds)
-                rem_b = Clause(b.literals, b.boxes - {db}, b.diamonds)
+                rem_a = Clause(a.literals, a.boxes - {da} or EMPTY, a.diamonds)
+                rem_b = Clause(b.literals, b.boxes - {db} or EMPTY, b.diamonds)
                 yield _wrap_sigma(a, b, core, rem_a, rem_b)
 
     for x, y in ((a, b), (b, a)):
@@ -144,12 +145,12 @@ def _sigma(a: Clause, b: Clause, depth: int):
                     (_unit_box(d), Clause(diamonds=y.diamonds)),
                     conclusion,
                 )
-                rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
-                rem_y = Clause(y.literals, y.boxes, frozenset())
+                rem_x = Clause(x.literals, x.boxes - {d} or EMPTY, x.diamonds)
+                rem_y = Clause(y.literals, y.boxes)
                 yield _wrap_sigma(a, b, core, rem_x, rem_y)
             for s in sorted(y.diamonds, key=cnf_key):
-                rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
-                rem_y = Clause(y.literals, y.boxes, y.diamonds - {s})
+                rem_x = Clause(x.literals, x.boxes - {d} or EMPTY, x.diamonds)
+                rem_y = Clause(y.literals, y.boxes, y.diamonds - {s} or EMPTY)
                 for e in sorted_clauses(s):
                     for inner in _sigma(d, e, depth - 1):
                         conclusion = diamond(conjoin(s, (inner.conclusion,)))
@@ -167,7 +168,7 @@ def _gamma(a: Clause, depth: int):
         raise RecursionDepthExceeded(_TOO_DEEP)
 
     for d in sorted_clauses(a.boxes):
-        rem = Clause(a.literals, a.boxes - {d}, a.diamonds)
+        rem = Clause(a.literals, a.boxes - {d} or EMPTY, a.diamonds)
         # successor dichotomy: a world either has no successors or has one
         # satisfying the box body.  This seeds a diamond that absorption can
         # pack with other box bodies; without it, diamond-free premises
@@ -181,7 +182,7 @@ def _gamma(a: Clause, depth: int):
             yield _wrap_gamma(a, core, rem)
 
     for s in sorted(a.diamonds, key=cnf_key):
-        rem = Clause(a.literals, a.boxes, a.diamonds - {s})
+        rem = Clause(a.literals, a.boxes, a.diamonds - {s} or EMPTY)
         members = sorted_clauses(s)
         for i, e1 in enumerate(members):
             for e2 in members[i + 1 :]:
@@ -257,7 +258,9 @@ def closure_step_traced(clauses, clause_budget: int | None = None, trace: bool =
             out.add(step.conclusion)
             if clause_budget is not None and len(out) > clause_budget:
                 raise ClauseBudgetExceeded(
-                    f"closure grew to {len(out)} clauses, over the budget of {clause_budget}"
+                    f"closure grew to {len(out)} clauses, over the budget of {clause_budget}",
+                    reached=len(out),
+                    limit=clause_budget,
                 )
         elif not trace:
             continue

@@ -41,6 +41,7 @@ from .semantics import (
     model_check,
 )
 from .syntax import (
+    EMPTY,
     Clause,
     Literal,
     clause_to_formula,
@@ -172,8 +173,8 @@ def raw_to_clause(raw) -> Clause:
         elif part[0] == "box":
             boxes.add(raw_to_clause(part[1]))
         elif part[0] == "dia":
-            dias.add(frozenset(raw_to_clause(m) for m in part[1]))
-    return Clause(frozenset(lits), frozenset(boxes), frozenset(dias))
+            dias.add(frozenset(raw_to_clause(m) for m in part[1]) or EMPTY)
+    return Clause(frozenset(lits) or EMPTY, frozenset(boxes) or EMPTY, frozenset(dias) or EMPTY)
 
 
 # ---------------------------------------------------------------------------

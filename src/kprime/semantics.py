@@ -43,7 +43,7 @@ from .syntax import (
 DEFAULT_NODE_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KripkeModel:
     """Finite pointed structure: worlds, accessibility relation, valuation."""
 
@@ -84,34 +84,42 @@ class KripkeModel:
 
 
 def model_check(m: KripkeModel, w, f: Formula) -> bool:
-    """Truth of a formula at a world, by structural recursion."""
+    """Truth of a formula at a world, by structural recursion.
+
+    Raises RecursionDepthExceeded if f is nested deeper than the
+    interpreter's stack allows.
+    """
     if w not in m.worlds:
         raise ValueError(f"unknown world: {w!r}")
-    if isinstance(f, Var):
-        return w in m.valuation.get(f.name, ())
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Not):
-        return not model_check(m, w, f.body)
-    if isinstance(f, And):
-        return model_check(m, w, f.left) and model_check(m, w, f.right)
-    if isinstance(f, Or):
-        return model_check(m, w, f.left) or model_check(m, w, f.right)
-    if isinstance(f, Diamond):
-        return any(model_check(m, v, f.body) for v in m.successors(w))
-    if isinstance(f, Box):
-        return all(model_check(m, v, f.body) for v in m.successors(w))
+    try:
+        if isinstance(f, Var):
+            return w in m.valuation.get(f.name, ())
+        if isinstance(f, Bottom):
+            return False
+        if isinstance(f, Not):
+            return not model_check(m, w, f.body)
+        if isinstance(f, And):
+            return model_check(m, w, f.left) and model_check(m, w, f.right)
+        if isinstance(f, Or):
+            return model_check(m, w, f.left) or model_check(m, w, f.right)
+        if isinstance(f, Diamond):
+            return any(model_check(m, v, f.body) for v in m.successors(w))
+        if isinstance(f, Box):
+            return all(model_check(m, v, f.body) for v in m.successors(w))
+    except RecursionError:
+        # as in syntax.modal_depth: the innermost level that can raise this does
+        raise RecursionDepthExceeded("formula nested too deep to check") from None
     raise TypeError(f"not a formula: {f!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SatResult:
     satisfiable: bool
     model: KripkeModel | None = None
     world: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Tree:
     """Open-branch witness: true variables at this world plus child worlds."""
 
@@ -200,7 +208,9 @@ class Tableau:
         self._nodes += 1
         if self._nodes > self.node_budget:
             raise TableauBudgetExceeded(
-                f"tableau search expanded {self._nodes} nodes, over the budget of {self.node_budget}"
+                f"tableau search expanded {self._nodes} nodes, over the budget of {self.node_budget}",
+                reached=self._nodes,
+                limit=self.node_budget,
             )
         result = self._expand(formulas)
         self._memo[formulas] = result

@@ -7,13 +7,20 @@ boxed clauses and a set of diamonds, where each diamond wraps a CNF
 (itself a set of clauses read conjunctively).  The empty clause is bottom.
 
 Everything here is a pure value: safe to hash, share and use as dict keys.
+Values are slotted dataclasses and take no attributes beyond their fields.
+Every empty part of a clause the library builds is the one frozenset EMPTY
+(CPython does not share empty frozensets), so a clause costs no more than
+its nonempty parts: builders that can produce an empty part write
+`part or EMPTY`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+
+from .errors import RecursionDepthExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -26,39 +33,39 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diamond(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box(Formula):
     body: Formula
 
@@ -84,15 +91,24 @@ def length(f: Formula) -> int:
 
 
 def modal_depth(f: Formula) -> int:
-    """Maximum nesting of modal operators."""
-    if isinstance(f, (Var, Bottom)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.body)
-    if isinstance(f, (And, Or)):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, (Diamond, Box)):
-        return 1 + modal_depth(f.body)
+    """Maximum nesting of modal operators.
+
+    Raises RecursionDepthExceeded if f is nested deeper than the
+    interpreter's stack allows.
+    """
+    try:
+        if isinstance(f, (Var, Bottom)):
+            return 0
+        if isinstance(f, Not):
+            return modal_depth(f.body)
+        if isinstance(f, (And, Or)):
+            return max(modal_depth(f.left), modal_depth(f.right))
+        if isinstance(f, (Diamond, Box)):
+            return 1 + modal_depth(f.body)
+    except RecursionError:
+        # the innermost level that can still raise this does; the error is
+        # no RecursionError, so the levels above let it through
+        raise RecursionDepthExceeded("formula nested too deep to measure") from None
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -132,7 +148,7 @@ def formula_sort_key(f: Formula):
 # Clauses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     variable: str
     positive: bool = True
@@ -150,19 +166,21 @@ class Literal:
 
 # A CNF is a set of clauses read conjunctively; the empty set is verum.
 Cnf = frozenset  # frozenset[Clause]
+EMPTY = frozenset()  # the empty part of every clause, and the empty CNF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """A structured disjunction: literals, boxed clauses and diamonds of CNFs.
 
     The empty clause (all three parts empty) is bottom.  Construction does
-    not normalize; use normalization.make_clause for that.
+    not normalize; use normalization.make_clause for that.  Parts default
+    to EMPTY, and a caller passing an empty part should pass EMPTY.
     """
 
-    literals: frozenset = field(default_factory=frozenset)
-    boxes: frozenset = field(default_factory=frozenset)
-    diamonds: frozenset = field(default_factory=frozenset)
+    literals: frozenset = EMPTY
+    boxes: frozenset = EMPTY
+    diamonds: frozenset = EMPTY
 
     @property
     def is_bottom(self) -> bool:
@@ -174,7 +192,10 @@ class Clause:
     def __str__(self):
         from .parser import render  # deferred: parser imports this module
 
-        return render(clause_to_formula(self))
+        try:
+            return render(clause_to_formula(self))
+        except RecursionError:
+            raise RecursionDepthExceeded("clause nested too deep to print") from None
 
 
 BOTTOM_CLAUSE = Clause()
@@ -186,12 +207,19 @@ def literal_sort_key(lit: Literal):
 
 @lru_cache(maxsize=None)
 def clause_key(c: Clause):
-    """Canonical comparable key: equal iff structurally equal, totally ordered."""
-    return (
-        tuple(sorted(literal_sort_key(l) for l in c.literals)),
-        tuple(sorted(clause_key(b) for b in c.boxes)),
-        tuple(sorted(cnf_key(s) for s in c.diamonds)),
-    )
+    """Canonical comparable key: equal iff structurally equal, totally ordered.
+
+    Raises RecursionDepthExceeded if c is nested deeper than the
+    interpreter's stack allows (the same way modal_depth does).
+    """
+    try:
+        return (
+            tuple(sorted(literal_sort_key(l) for l in c.literals)),
+            tuple(sorted(clause_key(b) for b in c.boxes)),
+            tuple(sorted(cnf_key(s) for s in c.diamonds)),
+        )
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to order") from None
 
 
 @lru_cache(maxsize=None)
@@ -264,13 +292,13 @@ def clause_from_json(obj) -> Clause:
     """Inverse of clause_to_json; ValueError on anything it cannot produce."""
     if not isinstance(obj, dict):
         raise ValueError(f"a clause must be an object, not {obj!r}")
-    lits = {_literal_from_json(s) for s in _json_array(obj.get("lits", []))}
-    boxes = {clause_from_json(b) for b in _json_array(obj.get("boxes", []))}
-    diamonds = {
-        frozenset(clause_from_json(m) for m in _json_array(arr))
+    lits = frozenset(_literal_from_json(s) for s in _json_array(obj.get("lits", [])))
+    boxes = frozenset(clause_from_json(b) for b in _json_array(obj.get("boxes", [])))
+    diamonds = frozenset(
+        frozenset(clause_from_json(m) for m in _json_array(arr)) or EMPTY
         for arr in _json_array(obj.get("diamonds", []))
-    }
-    return Clause(frozenset(lits), frozenset(boxes), frozenset(diamonds))
+    )
+    return Clause(lits or EMPTY, boxes or EMPTY, diamonds or EMPTY)
 
 
 def _json_array(value) -> list:

@@ -57,8 +57,9 @@ def test_clauses_are_normal_and_equivalent(rng, tableau):
 
 def test_budget_error_on_blowup():
     wide = parse(" | ".join(f"(p{i} & q{i})" for i in range(10)))
-    with pytest.raises(ClauseBudgetExceeded):
+    with pytest.raises(ClauseBudgetExceeded) as exc:
         to_cnf(wide, clause_budget=64)
+    assert exc.value.limit == 64 and exc.value.reached > 64
 
 
 def test_deep_nesting_is_a_budget_error():

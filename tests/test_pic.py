@@ -299,6 +299,23 @@ def test_tableau_budget_bounds_the_compile():
     assert exc.value.stage is not None
 
 
+def test_budget_errors_keep_their_counts_through_the_compile():
+    # the compile adds the stage to the error and keeps the closure's or the
+    # tableau's counts; the message still leads with the count reached
+    u = make_cnf([cl("p | q"), cl("~p | q")])
+    with pytest.raises(ClauseBudgetExceeded) as exc:
+        prime_implicates(u, PicConfig(clause_budget=2))
+    e = exc.value
+    assert (e.stage, e.reached, e.limit) == (1, 3, 2)
+    assert str(e) == "closure grew to 3 clauses, over the budget of 2 (at stage 1)"
+    kb = make_cnf(cl(t) for t in BUDGET_KB)
+    with pytest.raises(TableauBudgetExceeded) as exc:
+        prime_implicates(kb, oracle=EntailmentOracle(Tableau(node_budget=30)))
+    e = exc.value
+    assert (e.reached, e.limit) == (31, 30)
+    assert str(e).startswith("tableau search expanded 31 nodes, over the budget of 30 (at stage ")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PicConfig(max_iterations=0)

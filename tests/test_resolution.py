@@ -192,3 +192,4 @@ def test_clause_budget_on_closure():
             closure_step_traced(u, clause_budget=budget)
         # the cap fires on the first conclusion past it, not at the end of the layer
         assert str(exc.value).startswith(f"closure grew to {budget + 1} clauses,")
+        assert (exc.value.reached, exc.value.limit) == (budget + 1, budget)

@@ -125,6 +125,14 @@ def test_node_budget_is_loud():
     assert "budget of 2" in str(exc.value)
 
 
+def test_node_budget_error_carries_its_counts():
+    f = parse("(p1 | q1) & (p2 | q2) & (p3 | q3) & (p4 | q4)")
+    with pytest.raises(TableauBudgetExceeded) as exc:
+        Tableau(node_budget=2).satisfiable(f)
+    assert (exc.value.reached, exc.value.limit) == (3, 2)
+    assert str(exc.value) == "tableau search expanded 3 nodes, over the budget of 2"
+
+
 @pytest.mark.parametrize("nodes", [0, -1])
 def test_node_budget_must_be_positive(nodes):
     with pytest.raises(ValueError):

@@ -1,12 +1,16 @@
 import random
 
+import pytest
+
 from kprime import (
     BOT,
     And,
     Box,
     Diamond,
+    KripkeModel,
     Literal,
     Not,
+    RecursionDepthExceeded,
     Var,
     clause_from_json,
     clause_length,
@@ -14,7 +18,9 @@ from kprime import (
     clause_to_json,
     length,
     modal_depth,
+    model_check,
     parse,
+    render,
     variables,
 )
 from kprime.generators import random_clause, random_formula
@@ -85,3 +91,40 @@ def test_clause_json_is_canonically_ordered():
     js = clause_to_json(c)
     assert js["lits"] == ["p", "q", "~q"]
     assert len(js["boxes"]) == 1 and len(js["diamonds"]) == 1
+
+
+def _deep_formula():
+    deep = Var("p")
+    for _ in range(5000):
+        deep = Box(deep)
+    return deep
+
+
+def _deep_clause():
+    deep = Clause(literals=frozenset([Literal("p")]))
+    for _ in range(5000):
+        deep = Clause(boxes=frozenset([deep]))
+    return deep
+
+
+def _loop_model():
+    # one world that sees itself, so every box is checked one level down
+    return KripkeModel(frozenset([0]), frozenset([(0, 0)]), {}, 0)
+
+
+# nested deeper than the interpreter's stack: a budget error, never a bare
+# RecursionError (parse, to_cnf and Tableau.satisfiable are tested where
+# they live)
+DEEP_INPUT_CALLS = {
+    "render": lambda: render(_deep_formula()),
+    "modal_depth": lambda: modal_depth(_deep_formula()),
+    "clause_key": lambda: clause_key(_deep_clause()),
+    "str_clause": lambda: str(_deep_clause()),
+    "model_check": lambda: model_check(_loop_model(), 0, _deep_formula()),
+}
+
+
+@pytest.mark.parametrize("call", sorted(DEEP_INPUT_CALLS))
+def test_deep_input_is_a_budget_error(call):
+    with pytest.raises(RecursionDepthExceeded):
+        DEEP_INPUT_CALLS[call]()
