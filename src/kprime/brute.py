@@ -12,49 +12,22 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .normalization import simplify_cnf
+from .normalization import box, diamond, disjoin, literal, simplify_cnf
 from .pic import EntailmentOracle, residue_detailed
-from .syntax import (
-    EMPTY,
-    Clause,
-    Cnf,
-    Literal,
-    clause_key,
-    cnf_key,
-    literal_sort_key,
-)
-
-
-@lru_cache(maxsize=None)
-def _component_pool(vocab: tuple, depth: int, width: int) -> tuple:
-    """Every possible clause component at this nesting level, canonically ordered."""
-    lits = [
-        ("lit", Literal(v, pol)) for v in vocab for pol in (True, False)
-    ]
-    boxes, diamonds = [], []
-    if depth > 0:
-        below = _clause_space(vocab, depth - 1, width)
-        boxes = [("box", c) for c in below]
-        nonbottom = [c for c in below if not c.is_bottom]
-        for k in range(1, width + 1):
-            for combo in combinations(nonbottom, k):
-                diamonds.append(("dia", frozenset(combo)))
-    lits.sort(key=lambda t: literal_sort_key(t[1]))
-    boxes.sort(key=lambda t: clause_key(t[1]))
-    diamonds.sort(key=lambda t: cnf_key(t[1]))
-    return tuple(lits + boxes + diamonds)
+from .syntax import Clause, Cnf, Literal, clause_key
 
 
 @lru_cache(maxsize=None)
 def _clause_space(vocab: tuple, depth: int, width: int) -> tuple:
-    pool = _component_pool(vocab, depth, width)
-    out = []
-    for k in range(width + 1):
-        for combo in combinations(pool, k):
-            lits = frozenset(item for tag, item in combo if tag == "lit") or EMPTY
-            boxes = frozenset(item for tag, item in combo if tag == "box") or EMPTY
-            dias = frozenset(item for tag, item in combo if tag == "dia") or EMPTY
-            out.append(Clause(lits, boxes, dias))
+    # every possible component at this nesting level, as a unit clause
+    pool = [literal(Literal(v, pol)) for v in vocab for pol in (True, False)]
+    if depth > 0:
+        below = _clause_space(vocab, depth - 1, width)
+        pool += (box(c) for c in below)
+        nonbottom = [c for c in below if not c.is_bottom]
+        for k in range(1, width + 1):
+            pool += (diamond(frozenset(combo)) for combo in combinations(nonbottom, k))
+    out = [disjoin(*combo) for k in range(width + 1) for combo in combinations(pool, k)]
     out.sort(key=clause_key)
     return tuple(out)
 

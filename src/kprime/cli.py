@@ -20,7 +20,7 @@ from .parser import parse
 from .pic import PicConfig, clause_order, covering_implicate, prime_implicates
 from .selftest import run_all
 from .semantics import Tableau
-from .syntax import clause_to_json, clause_from_json
+from .syntax import VAR_NAME, clause_to_json, clause_from_json
 
 USAGE_ERROR, BUDGET_ERROR = 2, 3
 
@@ -120,10 +120,15 @@ def cmd_prove(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    kb = load_kb(args.kb_file, whole_formula=args.formula)
     vocab = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not vocab:
         raise CliError("--vars needs at least one variable name")
+    for v in vocab:
+        if not VAR_NAME.fullmatch(v) or v == "bot":
+            raise CliError(f"--vars: not a variable name: {v!r}")
+    if args.depth < 0 or args.width < 0:
+        raise CliError("--depth and --width must not be negative")
+    kb = load_kb(args.kb_file, whole_formula=args.formula)
     out = prime_implicates_brute(kb, vocab, args.depth, args.width)
     print(json.dumps([clause_to_json(c) for c in sorted(out, key=clause_order)], indent=2))
     return 0

@@ -5,17 +5,17 @@ disjunction multiplies clause sets, box distributes over the conjuncts of
 its body, and a diamond wraps its body's clause set as a single component.
 No renaming is performed: prime implicates are defined over the input
 vocabulary, and fresh variables would change the implicate set.  The
-distribution blowup is guarded by a clause-count budget: to_cnf's
-clause_budget, DEFAULT_CLAUSE_BUDGET unless the caller passes one
-(single_clause always converts at that default).
+distribution blowup is guarded by the constant cap DEFAULT_CLAUSE_BUDGET.
+Clauses are built by the normalization constructors, units included, so
+every result is normal; nnf and to_cnf raise RecursionDepthExceeded on
+input nested deeper than the interpreter's stack allows.
 """
 
 from __future__ import annotations
 
 from .errors import ClauseBudgetExceeded, RecursionDepthExceeded
-from .normalization import conjoin, diamond, disjoin
+from .normalization import BOTTOM_CNF, box, conjoin, diamond, disjoin, literal
 from .syntax import (
-    BOTTOM_CLAUSE,
     EMPTY,
     And,
     Bottom,
@@ -35,79 +35,82 @@ DEFAULT_CLAUSE_BUDGET = 10_000
 
 def nnf(f: Formula, negated: bool = False) -> Formula:
     """Negation normal form; ~ survives only on variables and on bot."""
-    if isinstance(f, Var):
-        return Not(f) if negated else f
-    if isinstance(f, Bottom):
-        return Not(f) if negated else f
-    if isinstance(f, Not):
-        return nnf(f.body, not negated)
-    if isinstance(f, And):
-        a, b = nnf(f.left, negated), nnf(f.right, negated)
-        return Or(a, b) if negated else And(a, b)
-    if isinstance(f, Or):
-        a, b = nnf(f.left, negated), nnf(f.right, negated)
-        return And(a, b) if negated else Or(a, b)
-    if isinstance(f, Diamond):
-        body = nnf(f.body, negated)
-        return Box(body) if negated else Diamond(body)
-    if isinstance(f, Box):
-        body = nnf(f.body, negated)
-        return Diamond(body) if negated else Box(body)
+    try:
+        if isinstance(f, Var):
+            return Not(f) if negated else f
+        if isinstance(f, Bottom):
+            return Not(f) if negated else f
+        if isinstance(f, Not):
+            return nnf(f.body, not negated)
+        if isinstance(f, And):
+            a, b = nnf(f.left, negated), nnf(f.right, negated)
+            return Or(a, b) if negated else And(a, b)
+        if isinstance(f, Or):
+            a, b = nnf(f.left, negated), nnf(f.right, negated)
+            return And(a, b) if negated else Or(a, b)
+        if isinstance(f, Diamond):
+            body = nnf(f.body, negated)
+            return Box(body) if negated else Diamond(body)
+        if isinstance(f, Box):
+            body = nnf(f.body, negated)
+            return Diamond(body) if negated else Box(body)
+    except RecursionError:
+        raise RecursionDepthExceeded("formula nested too deep to convert") from None
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _check(clauses, budget: int):
-    if len(clauses) > budget:
+def _check(clauses):
+    if len(clauses) > DEFAULT_CLAUSE_BUDGET:
         raise ClauseBudgetExceeded(
-            f"CNF conversion produced more than {budget} clauses",
+            f"CNF conversion produced more than {DEFAULT_CLAUSE_BUDGET} clauses",
             reached=len(clauses),
-            limit=budget,
+            limit=DEFAULT_CLAUSE_BUDGET,
         )
     return clauses
 
 
-def _convert(f: Formula, budget: int) -> Cnf:
+def _convert(f: Formula) -> Cnf:
     # f is in NNF; the result is a normalized clause set, assembled from
     # normal parts by the normalization constructors
     if isinstance(f, Var):
-        return frozenset((Clause(literals=frozenset((Literal(f.name, True),))),))
+        return frozenset((literal(Literal(f.name, True)),))
     if isinstance(f, Not):
         if isinstance(f.body, Bottom):
             return EMPTY  # verum: the empty conjunction
-        return frozenset((Clause(literals=frozenset((Literal(f.body.name, False),))),))
+        return frozenset((literal(Literal(f.body.name, False)),))
     if isinstance(f, Bottom):
-        return frozenset((BOTTOM_CLAUSE,))
+        return BOTTOM_CNF
     if isinstance(f, And):
-        return _check(conjoin(_convert(f.left, budget), _convert(f.right, budget)), budget)
+        return _check(conjoin(_convert(f.left), _convert(f.right)))
     if isinstance(f, Or):
-        left, right = _convert(f.left, budget), _convert(f.right, budget)
+        left, right = _convert(f.left), _convert(f.right)
         if not left or not right:
             return EMPTY  # either side is verum
-        if len(left) * len(right) > budget:
+        if len(left) * len(right) > DEFAULT_CLAUSE_BUDGET:
             raise ClauseBudgetExceeded(
-                f"CNF distribution would exceed {budget} clauses",
+                f"CNF distribution would exceed {DEFAULT_CLAUSE_BUDGET} clauses",
                 reached=len(left) * len(right),
-                limit=budget,
+                limit=DEFAULT_CLAUSE_BUDGET,
             )
-        return _check(conjoin([disjoin(a, b) for a in left for b in right]), budget)
+        return _check(conjoin([disjoin(a, b) for a in left for b in right]))
     if isinstance(f, Box):
         # box distributes over the conjunction of the body's clauses
-        body = _convert(f.body, budget)
-        return _check(frozenset(Clause(boxes=frozenset((c,))) for c in body) or EMPTY, budget)
+        body = _convert(f.body)
+        return _check(frozenset(box(c) for c in body) or EMPTY)
     if isinstance(f, Diamond):
-        return frozenset((diamond(_convert(f.body, budget)),))
+        return frozenset((diamond(_convert(f.body)),))
     raise TypeError(f"unexpected connective after NNF: {f!r}")
 
 
-def to_cnf(f: Formula, clause_budget: int = DEFAULT_CLAUSE_BUDGET) -> Cnf:
+def to_cnf(f: Formula) -> Cnf:
     """Equivalent clause set for a formula.
 
-    Raises ClauseBudgetExceeded if distribution grows past clause_budget,
-    and RecursionDepthExceeded if f is nested deeper than the interpreter's
-    stack allows.
+    Raises ClauseBudgetExceeded if distribution grows past
+    DEFAULT_CLAUSE_BUDGET, and RecursionDepthExceeded if f is nested deeper
+    than the interpreter's stack allows.
     """
     try:
-        return _convert(nnf(f), clause_budget)
+        return _convert(nnf(f))
     except RecursionError:
         raise RecursionDepthExceeded("formula nested too deep to convert") from None
 

@@ -20,31 +20,38 @@ already in normal form, so only the two rules that act on a node's own
 children can fire, and the constructors below apply exactly those instead
 of running the rewriter again: disjoin unions disjuncts (a bottom clause
 has no parts, so it drops out by itself), conjoin collapses a clause set
-holding bottom, and diamond drops a diamond over bottom.  Duplicates merge
-because every part is a set.  Every empty part these build, and every empty
-clause set, is syntax.EMPTY.
+holding bottom, and diamond drops a diamond over bottom; literal and box
+build the other unit clauses.  Duplicates merge because every part is a
+set, and every empty clause set conjoin builds is syntax.EMPTY.
 """
 
 from __future__ import annotations
 
-from .syntax import BOTTOM_CLAUSE, EMPTY, Clause, Cnf
+from .errors import RecursionDepthExceeded
+from .syntax import BOTTOM_CLAUSE, EMPTY, Clause, Cnf, Literal
 
 
-_BOTTOM_CNF = frozenset((BOTTOM_CLAUSE,))
+BOTTOM_CNF = frozenset((BOTTOM_CLAUSE,))
 
 
 def simplify(c: Clause) -> Clause:
-    """Normal form of a clause under the simplification congruence."""
-    literals = frozenset(c.literals) or EMPTY
-    boxes = frozenset(simplify(b) for b in c.boxes) or EMPTY
-    diamonds = set()
-    for s in c.diamonds:
-        body = simplify_cnf(s)
-        if body == _BOTTOM_CNF:
-            # diamond over bottom is bottom, and a bottom disjunct drops out
-            continue
-        diamonds.add(body)
-    return Clause(literals, boxes, frozenset(diamonds) or EMPTY)
+    """Normal form of a clause under the simplification congruence.
+
+    RecursionDepthExceeded if c is nested deeper than the stack allows.
+    """
+    literals = frozenset(c.literals)
+    try:
+        boxes = frozenset(simplify(b) for b in c.boxes)
+        diamonds = set()
+        for s in c.diamonds:
+            body = simplify_cnf(s)
+            if body == BOTTOM_CNF:
+                # diamond over bottom is bottom, and a bottom disjunct drops out
+                continue
+            diamonds.add(body)
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to simplify") from None
+    return Clause(literals, boxes, frozenset(diamonds))
 
 
 def simplify_cnf(s) -> Cnf:
@@ -59,20 +66,30 @@ def disjoin(*clauses: Clause) -> Clause:
         lits |= c.literals
         boxes |= c.boxes
         dias |= c.diamonds
-    return Clause(lits or EMPTY, boxes or EMPTY, dias or EMPTY)
+    return Clause(lits, boxes, dias)
 
 
 def conjoin(*sets) -> Cnf:
     """Conjunction of clause sets; normal when every member is."""
     members = EMPTY.union(*sets)
     if BOTTOM_CLAUSE in members:
-        return _BOTTOM_CNF
+        return BOTTOM_CNF
     return members or EMPTY
+
+
+def literal(lit: Literal) -> Clause:
+    """The unit clause of one literal."""
+    return Clause(literals=frozenset((lit,)))
+
+
+def box(c: Clause) -> Clause:
+    """The clause []c for a normal clause c."""
+    return Clause(boxes=frozenset((c,)))
 
 
 def diamond(s: Cnf) -> Clause:
     """The clause <>s for a normal clause set s; <>bot is bottom."""
-    if s == _BOTTOM_CNF:
+    if s == BOTTOM_CNF:
         return BOTTOM_CLAUSE
     return Clause(diamonds=frozenset((s,)))
 

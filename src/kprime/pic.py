@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, RecursionDepthExceeded
 from .normalization import simplify, simplify_cnf
 from .resolution import closure_step_traced
 from .semantics import Tableau
@@ -172,18 +172,22 @@ def subsumes(d: Clause, c: Clause) -> bool:
     Unlike entailment this survives resolution: deleting only subsumed
     clauses inside the saturation loop never cuts off a derivation.  It is
     a preorder: literal sets nest by inclusion, and box and diamond bodies
-    nest by induction, so it is transitive.
+    nest by induction, so it is transitive.  RecursionDepthExceeded if
+    either clause is nested deeper than the stack allows.
     """
     if d.is_bottom:
         return True
     if not d.literals <= c.literals:
         return False
-    for bd in d.boxes:
-        if not any(subsumes(bd, bc) for bc in c.boxes):
-            return False
-    for sd in d.diamonds:
-        if not any(_cnf_subsumes(sd, sc) for sc in c.diamonds):
-            return False
+    try:
+        for bd in d.boxes:
+            if not any(subsumes(bd, bc) for bc in c.boxes):
+                return False
+        for sd in d.diamonds:
+            if not any(_cnf_subsumes(sd, sc) for sc in c.diamonds):
+                return False
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to compare") from None
     return True
 
 

@@ -9,7 +9,8 @@ resolvent.  Single-premise resolvents act inside one clause: a resolvable
 pair within a diamond's set grows that set, a member's own resolvent grows
 it likewise, and boxes recurse.  Every conclusion is returned in normal
 form with a witness derivation tree; premises are normal, so conclusions
-are assembled with the normalization constructors and never re-simplified.
+and the unit clauses naming each active part are assembled with the
+normalization constructors and never re-simplified.
 
 Two extra rules back the covering guarantee.  A box body is absorbed into
 every diamond of the partner premise outright (every successor satisfies
@@ -37,13 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ClauseBudgetExceeded, RecursionDepthExceeded
-from .normalization import conjoin, diamond, disjoin
+from .normalization import box, conjoin, diamond, disjoin, literal
 # unused here, kept importable: bench/run.py --trace 1 wraps these two names
 # on this module to count simplification inside resolution
 from .normalization import simplify, simplify_cnf  # noqa: F401
 from .syntax import (
     BOTTOM_CLAUSE,
-    EMPTY,
     Clause,
     clause_key,
     cnf_key,
@@ -76,31 +76,13 @@ class ResolutionStep:
         }
 
 
-def _unit_lit(lit) -> Clause:
-    return Clause(literals=frozenset((lit,)))
-
-
-def _unit_box(body: Clause) -> Clause:
-    return Clause(boxes=frozenset((body,)))
-
-
-def _unit_dia(body) -> Clause:
-    return Clause(diamonds=frozenset((body,)))
-
-
-def _wrap_sigma(a: Clause, b: Clause, core: ResolutionStep, rem_a: Clause, rem_b: Clause) -> ResolutionStep:
-    """Thread the untouched disjuncts of both premises around a core resolvent."""
-    if rem_a.is_bottom and rem_b.is_bottom:
-        return core
-    conclusion = disjoin(rem_a, rem_b, core.conclusion)
-    return ResolutionStep("sigma-or", (a, b), conclusion, (core,))
-
-
-def _wrap_gamma(a: Clause, core: ResolutionStep, rem: Clause) -> ResolutionStep:
-    if rem.is_bottom:
-        return core
-    conclusion = disjoin(rem, core.conclusion)
-    return ResolutionStep("gamma-or", (a,), conclusion, (core,))
+def _wrap(rule: str, premises: tuple, core: ResolutionStep, *rems: Clause) -> ResolutionStep:
+    """Thread the untouched disjuncts of the premises around a core resolvent."""
+    for rem in rems:
+        if not rem.is_bottom:
+            conclusion = disjoin(*rems, core.conclusion)
+            return ResolutionStep(rule, premises, conclusion, (core,))
+    return core
 
 
 def _sigma(a: Clause, b: Clause, depth: int):
@@ -115,21 +97,19 @@ def _sigma(a: Clause, b: Clause, depth: int):
         comp = lit.negate()
         if comp not in b.literals:
             continue
-        core = ResolutionStep("A1", (_unit_lit(lit), _unit_lit(comp)), BOTTOM_CLAUSE)
-        rem_a = Clause(a.literals - {lit} or EMPTY, a.boxes, a.diamonds)
-        rem_b = Clause(b.literals - {comp} or EMPTY, b.boxes, b.diamonds)
-        yield _wrap_sigma(a, b, core, rem_a, rem_b)
+        core = ResolutionStep("A1", (literal(lit), literal(comp)), BOTTOM_CLAUSE)
+        rem_a = Clause(a.literals - {lit}, a.boxes, a.diamonds)
+        rem_b = Clause(b.literals - {comp}, b.boxes, b.diamonds)
+        yield _wrap("sigma-or", (a, b), core, rem_a, rem_b)
 
     for da in sorted_clauses(a.boxes):
         for db in sorted_clauses(b.boxes):
             for inner in _sigma(da, db, depth - 1):
-                conclusion = _unit_box(inner.conclusion)
-                core = ResolutionStep(
-                    "sigma-boxbox", (_unit_box(da), _unit_box(db)), conclusion, (inner,)
-                )
-                rem_a = Clause(a.literals, a.boxes - {da} or EMPTY, a.diamonds)
-                rem_b = Clause(b.literals, b.boxes - {db} or EMPTY, b.diamonds)
-                yield _wrap_sigma(a, b, core, rem_a, rem_b)
+                conclusion = box(inner.conclusion)
+                core = ResolutionStep("sigma-boxbox", (box(da), box(db)), conclusion, (inner,))
+                rem_a = Clause(a.literals, a.boxes - {da}, a.diamonds)
+                rem_b = Clause(b.literals, b.boxes - {db}, b.diamonds)
+                yield _wrap("sigma-or", (a, b), core, rem_a, rem_b)
 
     for x, y in ((a, b), (b, a)):
         for d in sorted_clauses(x.boxes):
@@ -141,26 +121,21 @@ def _sigma(a: Clause, b: Clause, depth: int):
                 # time can stall on intermediates the residue removes.
                 conclusion = disjoin(*(diamond(conjoin(s, (d,))) for s in y.diamonds))
                 core = ResolutionStep(
-                    "sigma-absorb",
-                    (_unit_box(d), Clause(diamonds=y.diamonds)),
-                    conclusion,
+                    "sigma-absorb", (box(d), Clause(diamonds=y.diamonds)), conclusion
                 )
-                rem_x = Clause(x.literals, x.boxes - {d} or EMPTY, x.diamonds)
+                rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
                 rem_y = Clause(y.literals, y.boxes)
-                yield _wrap_sigma(a, b, core, rem_x, rem_y)
+                yield _wrap("sigma-or", (a, b), core, rem_x, rem_y)
             for s in sorted(y.diamonds, key=cnf_key):
-                rem_x = Clause(x.literals, x.boxes - {d} or EMPTY, x.diamonds)
-                rem_y = Clause(y.literals, y.boxes, y.diamonds - {s} or EMPTY)
+                rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
+                rem_y = Clause(y.literals, y.boxes, y.diamonds - {s})
                 for e in sorted_clauses(s):
                     for inner in _sigma(d, e, depth - 1):
                         conclusion = diamond(conjoin(s, (inner.conclusion,)))
                         core = ResolutionStep(
-                            "sigma-boxdiamond",
-                            (_unit_box(d), _unit_dia(s)),
-                            conclusion,
-                            (inner,),
+                            "sigma-boxdiamond", (box(d), diamond(s)), conclusion, (inner,)
                         )
-                        yield _wrap_sigma(a, b, core, rem_x, rem_y)
+                        yield _wrap("sigma-or", (a, b), core, rem_x, rem_y)
 
 
 def _gamma(a: Clause, depth: int):
@@ -168,37 +143,33 @@ def _gamma(a: Clause, depth: int):
         raise RecursionDepthExceeded(_TOO_DEEP)
 
     for d in sorted_clauses(a.boxes):
-        rem = Clause(a.literals, a.boxes - {d} or EMPTY, a.diamonds)
+        rem = Clause(a.literals, a.boxes - {d}, a.diamonds)
         # successor dichotomy: a world either has no successors or has one
         # satisfying the box body.  This seeds a diamond that absorption can
         # pack with other box bodies; without it, diamond-free premises
         # cover none of their box-or-diamond consequences.
-        dichotomy = disjoin(_unit_box(BOTTOM_CLAUSE), diamond(frozenset((d,))))
-        core = ResolutionStep("gamma-dichotomy", (_unit_box(d),), dichotomy)
-        yield _wrap_gamma(a, core, rem)
+        dichotomy = disjoin(box(BOTTOM_CLAUSE), diamond(frozenset((d,))))
+        core = ResolutionStep("gamma-dichotomy", (box(d),), dichotomy)
+        yield _wrap("gamma-or", (a,), core, rem)
         for inner in _gamma(d, depth - 1):
-            conclusion = _unit_box(inner.conclusion)
-            core = ResolutionStep("gamma-box", (_unit_box(d),), conclusion, (inner,))
-            yield _wrap_gamma(a, core, rem)
+            conclusion = box(inner.conclusion)
+            core = ResolutionStep("gamma-box", (box(d),), conclusion, (inner,))
+            yield _wrap("gamma-or", (a,), core, rem)
 
     for s in sorted(a.diamonds, key=cnf_key):
-        rem = Clause(a.literals, a.boxes, a.diamonds - {s} or EMPTY)
+        rem = Clause(a.literals, a.boxes, a.diamonds - {s})
         members = sorted_clauses(s)
         for i, e1 in enumerate(members):
             for e2 in members[i + 1 :]:
                 for inner in _sigma(e1, e2, depth - 1):
                     conclusion = diamond(conjoin(s, (inner.conclusion,)))
-                    core = ResolutionStep(
-                        "gamma-diamond1", (_unit_dia(s),), conclusion, (inner,)
-                    )
-                    yield _wrap_gamma(a, core, rem)
+                    core = ResolutionStep("gamma-diamond1", (diamond(s),), conclusion, (inner,))
+                    yield _wrap("gamma-or", (a,), core, rem)
         for e in members:
             for inner in _gamma(e, depth - 1):
                 conclusion = diamond(conjoin(s, (inner.conclusion,)))
-                core = ResolutionStep(
-                    "gamma-diamond2", (_unit_dia(s),), conclusion, (inner,)
-                )
-                yield _wrap_gamma(a, core, rem)
+                core = ResolutionStep("gamma-diamond2", (diamond(s),), conclusion, (inner,))
+                yield _wrap("gamma-or", (a,), core, rem)
 
 
 def _step_signature(step: ResolutionStep):

@@ -174,7 +174,7 @@ def raw_to_clause(raw) -> Clause:
             boxes.add(raw_to_clause(part[1]))
         elif part[0] == "dia":
             dias.add(frozenset(raw_to_clause(m) for m in part[1]) or EMPTY)
-    return Clause(frozenset(lits) or EMPTY, frozenset(boxes) or EMPTY, frozenset(dias) or EMPTY)
+    return Clause(frozenset(lits), frozenset(boxes), frozenset(dias))
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +446,13 @@ def suite_budget_mechanisms() -> SuiteResult:
     big = parse(
         "(p1 | q1) & (p2 | q2) & (p3 | q3) & (p4 | q4) & (p5 | q5) & (p6 | q6)"
     )
+    # 13 disjoined conjunctions distribute to 8,192 clauses, 14 past the 10,000 cap
+    fits, past_cap = (
+        parse(" | ".join(f"(p{i} & q{i})" for i in range(1, n + 1))) for n in (13, 14)
+    )
+    to_cnf(fits)
     try:
-        to_cnf(parse(" | ".join(f"(p{i} & q{i})" for i in range(1, 9))), clause_budget=10)
+        to_cnf(past_cap)
         failures.append("CNF distribution ignored its clause budget")
     except ClauseBudgetExceeded:
         checked += 1

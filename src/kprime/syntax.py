@@ -8,10 +8,11 @@ boxed clauses and a set of diamonds, where each diamond wraps a CNF
 
 Everything here is a pure value: safe to hash, share and use as dict keys.
 Values are slotted dataclasses and take no attributes beyond their fields.
-Every empty part of a clause the library builds is the one frozenset EMPTY
-(CPython does not share empty frozensets), so a clause costs no more than
-its nonempty parts: builders that can produce an empty part write
-`part or EMPTY`.
+Every empty part of every clause is the one frozenset EMPTY (CPython does
+not share empty frozensets), so a clause costs no more than its nonempty
+parts: the Clause constructor stores any empty part it is given as EMPTY.
+The recursive walkers raise RecursionDepthExceeded on input nested deeper
+than the interpreter's stack allows.
 """
 
 from __future__ import annotations
@@ -81,12 +82,15 @@ def length(f: Formula) -> int:
     Bottom counts as one symbol so that every simplification step strictly
     shrinks its argument.
     """
-    if isinstance(f, (Var, Bottom)):
-        return 1
-    if isinstance(f, (Not, Diamond, Box)):
-        return 1 + length(f.body)
-    if isinstance(f, (And, Or)):
-        return 1 + length(f.left) + length(f.right)
+    try:
+        if isinstance(f, (Var, Bottom)):
+            return 1
+        if isinstance(f, (Not, Diamond, Box)):
+            return 1 + length(f.body)
+        if isinstance(f, (And, Or)):
+            return 1 + length(f.left) + length(f.right)
+    except RecursionError:
+        raise RecursionDepthExceeded("formula nested too deep to measure") from None
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -114,33 +118,39 @@ def modal_depth(f: Formula) -> int:
 
 def variables(f: Formula) -> frozenset[str]:
     """All variable names occurring in the formula."""
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, (Not, Diamond, Box)):
-        return variables(f.body)
-    if isinstance(f, (And, Or)):
-        return variables(f.left) | variables(f.right)
+    try:
+        if isinstance(f, Var):
+            return frozenset((f.name,))
+        if isinstance(f, Bottom):
+            return frozenset()
+        if isinstance(f, (Not, Diamond, Box)):
+            return variables(f.body)
+        if isinstance(f, (And, Or)):
+            return variables(f.left) | variables(f.right)
+    except RecursionError:
+        raise RecursionDepthExceeded("formula nested too deep to search") from None
     raise TypeError(f"not a formula: {f!r}")
 
 
 def formula_sort_key(f: Formula):
     """Total order over formulas, used for deterministic iteration."""
-    if isinstance(f, Var):
-        return (0, f.name)
-    if isinstance(f, Bottom):
-        return (1,)
-    if isinstance(f, Not):
-        return (2, formula_sort_key(f.body))
-    if isinstance(f, And):
-        return (3, formula_sort_key(f.left), formula_sort_key(f.right))
-    if isinstance(f, Or):
-        return (4, formula_sort_key(f.left), formula_sort_key(f.right))
-    if isinstance(f, Diamond):
-        return (5, formula_sort_key(f.body))
-    if isinstance(f, Box):
-        return (6, formula_sort_key(f.body))
+    try:
+        if isinstance(f, Var):
+            return (0, f.name)
+        if isinstance(f, Bottom):
+            return (1,)
+        if isinstance(f, Not):
+            return (2, formula_sort_key(f.body))
+        if isinstance(f, And):
+            return (3, formula_sort_key(f.left), formula_sort_key(f.right))
+        if isinstance(f, Or):
+            return (4, formula_sort_key(f.left), formula_sort_key(f.right))
+        if isinstance(f, Diamond):
+            return (5, formula_sort_key(f.body))
+        if isinstance(f, Box):
+            return (6, formula_sort_key(f.body))
+    except RecursionError:
+        raise RecursionDepthExceeded("formula nested too deep to order") from None
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -167,20 +177,27 @@ class Literal:
 # A CNF is a set of clauses read conjunctively; the empty set is verum.
 Cnf = frozenset  # frozenset[Clause]
 EMPTY = frozenset()  # the empty part of every clause, and the empty CNF
+_setattr = object.__setattr__  # sets a frozen field; one global lookup per call
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Clause:
     """A structured disjunction: literals, boxed clauses and diamonds of CNFs.
 
     The empty clause (all three parts empty) is bottom.  Construction does
-    not normalize; use normalization.make_clause for that.  Parts default
-    to EMPTY, and a caller passing an empty part should pass EMPTY.
+    not normalize; use normalization.make_clause for that.  Every empty
+    part is stored as EMPTY, whatever empty set the caller passed.
     """
 
     literals: frozenset = EMPTY
     boxes: frozenset = EMPTY
     diamonds: frozenset = EMPTY
+
+    # by hand: a __post_init__ hook would cost every construction a second call
+    def __init__(self, literals=EMPTY, boxes=EMPTY, diamonds=EMPTY):
+        _setattr(self, "literals", literals or EMPTY)
+        _setattr(self, "boxes", boxes or EMPTY)
+        _setattr(self, "diamonds", diamonds or EMPTY)
 
     @property
     def is_bottom(self) -> bool:
@@ -231,9 +248,12 @@ def clause_length(c: Clause) -> int:
     """Length of the clause read as a formula (bottom counts one symbol)."""
     if c.is_bottom:
         return 1
-    parts = [1 if l.positive else 2 for l in c.literals]
-    parts += [1 + clause_length(b) for b in c.boxes]
-    parts += [1 + cnf_length(s) for s in c.diamonds]
+    try:
+        parts = [1 if l.positive else 2 for l in c.literals]
+        parts += [1 + clause_length(b) for b in c.boxes]
+        parts += [1 + cnf_length(s) for s in c.diamonds]
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to measure") from None
     return sum(parts) + (len(parts) - 1)
 
 
@@ -298,7 +318,7 @@ def clause_from_json(obj) -> Clause:
         frozenset(clause_from_json(m) for m in _json_array(arr)) or EMPTY
         for arr in _json_array(obj.get("diamonds", []))
     )
-    return Clause(lits or EMPTY, boxes or EMPTY, diamonds or EMPTY)
+    return Clause(lits, boxes, diamonds)
 
 
 def _json_array(value) -> list:

@@ -30,6 +30,7 @@ REMOVED_PARAMETERS = (
     (kprime.sigma_resolvents, "max_depth"),
     (kprime.gamma_resolvents, "max_depth"),
     (kprime.single_clause, "clause_budget"),
+    (kprime.to_cnf, "clause_budget"),
 )
 
 

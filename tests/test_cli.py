@@ -11,6 +11,7 @@ from kprime.cli import main
 from kprime.generators import random_clause, random_formula, random_kb
 from kprime.parser import render
 from kprime.selftest import ALL_SUITES
+from kprime.syntax import clause_from_json, clause_to_json
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "example.k"
 
@@ -99,6 +100,30 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert code == 0
     clauses = json.loads(out)
     assert sorted(c["lits"] for c in clauses) == [["p"], ["q"]]
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ("--vars", "bot,q", "--depth", "0", "--width", "2"),
+        ("--vars", "9x"),
+        ("--vars", "p", "--depth", "-3", "--width", "-2"),
+    ],
+    ids=["bot", "bad-name", "negative"],
+)
+def test_oracle_rejects_bad_bounds(tmp_path, capsys, bounds):
+    kb = tmp_path / "kb.k"
+    kb.write_text("p\n")
+    code, out, err = run_cli(capsys, "oracle", str(kb), *bounds)
+    assert code == 2 and out == ""
+    assert err.startswith("kprime: ") and "Traceback" not in err
+
+
+def test_oracle_output_reads_back_as_clauses(capsys):
+    code, out, _ = run_cli(capsys, "oracle", str(EXAMPLE), "--vars", "p,q", "--depth", "1", "--width", "2")
+    assert code == 0
+    clauses = json.loads(out)
+    assert clauses and [clause_to_json(clause_from_json(c)) for c in clauses] == clauses
 
 
 def test_formula_mode(tmp_path, capsys):

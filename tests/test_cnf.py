@@ -56,10 +56,11 @@ def test_clauses_are_normal_and_equivalent(rng, tableau):
 
 
 def test_budget_error_on_blowup():
-    wide = parse(" | ".join(f"(p{i} & q{i})" for i in range(10)))
+    # 14 disjoined conjunctions distribute to 2**14 clauses, past the 10,000 cap
+    wide = parse(" | ".join(f"(p{i} & q{i})" for i in range(14)))
     with pytest.raises(ClauseBudgetExceeded) as exc:
-        to_cnf(wide, clause_budget=64)
-    assert exc.value.limit == 64 and exc.value.reached > 64
+        to_cnf(wide)
+    assert exc.value.limit == 10_000 and exc.value.reached > 10_000
 
 
 def test_deep_nesting_is_a_budget_error():

@@ -19,12 +19,15 @@ from kprime import (
     length,
     modal_depth,
     model_check,
+    nnf,
     parse,
     render,
+    simplify,
+    subsumes,
     variables,
 )
 from kprime.generators import random_clause, random_formula
-from kprime.syntax import Clause, clause_key
+from kprime.syntax import Clause, clause_key, formula_sort_key
 
 from conftest import cl
 
@@ -114,13 +117,20 @@ def _loop_model():
 
 # nested deeper than the interpreter's stack: a budget error, never a bare
 # RecursionError (parse, to_cnf and Tableau.satisfiable are tested where
-# they live)
+# they live; the walkers of other modules called directly are here)
 DEEP_INPUT_CALLS = {
     "render": lambda: render(_deep_formula()),
     "modal_depth": lambda: modal_depth(_deep_formula()),
     "clause_key": lambda: clause_key(_deep_clause()),
     "str_clause": lambda: str(_deep_clause()),
     "model_check": lambda: model_check(_loop_model(), 0, _deep_formula()),
+    "length": lambda: length(_deep_formula()),
+    "variables": lambda: variables(_deep_formula()),
+    "formula_sort_key": lambda: formula_sort_key(_deep_formula()),
+    "clause_length": lambda: clause_length(_deep_clause()),
+    "nnf": lambda: nnf(_deep_formula()),
+    "simplify": lambda: simplify(_deep_clause()),
+    "subsumes": lambda: subsumes(_deep_clause(), _deep_clause()),
 }
 
 

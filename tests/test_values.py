@@ -5,6 +5,7 @@ value costs sets what a long-running caller (the benchmark keeps every
 result it makes) holds in memory.
 """
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -130,6 +131,23 @@ def _unshared_empties(c: Clause):
             yield c
         for m in s:
             yield from _unshared_empties(m)
+
+
+def test_clause_constructor_shares_the_empty_part():
+    lit = Literal("p")
+    leftover = frozenset({lit}) - {lit}
+    assert not leftover and leftover is not EMPTY
+    built = [
+        Clause(),
+        Clause(leftover, leftover, leftover),
+        Clause(literals=leftover, boxes=leftover, diamonds=leftover),
+        dataclasses.replace(Clause(frozenset({lit})), literals=leftover),
+        clause_from_json({"lits": [], "boxes": [], "diamonds": []}),
+    ]
+    for c in built:
+        assert c.literals is EMPTY and c.boxes is EMPTY and c.diamonds is EMPTY, repr(c)
+    partial = Clause(boxes=frozenset({Clause(frozenset({lit}))}), diamonds=leftover)
+    assert partial.literals is EMPTY and partial.diamonds is EMPTY
 
 
 def _step_clauses(step):
