@@ -3,18 +3,55 @@
 Builds every normal-form clause over a bounded vocabulary, modal nesting
 and per-level component count, filters the ones a knowledge base entails,
 and minimizes with the same residue as the compiler.  This is a test
-instrument: the bounds explode combinatorially, so keep them at desk scale
-(three variables, nesting two, width three at the outside).
+instrument: the bounds explode combinatorially, so keep them at desk scale.
+MAX_CLAUSE_SPACE (100,000 clauses) enforces that: p, q at depth 1, width 2
+(2,486 clauses) and p, q, r there (33,671) fit, while p, q at depth 2,
+width 2 (about 4.8e12) raises ClauseBudgetExceeded before anything is built.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
+from .errors import ClauseBudgetExceeded
 from .normalization import box, diamond, disjoin, literal, simplify_cnf
 from .pic import EntailmentOracle, residue_detailed
 from .syntax import Clause, Cnf, Literal, clause_key
+
+MAX_CLAUSE_SPACE = 100_000  # clauses enumerate_clauses may build for one set of bounds
+
+
+def _space_size(variables: int, depth: int, width: int) -> int:
+    """Clauses _clause_space builds, counted without building them.
+
+    Once a count passes MAX_CLAUSE_SPACE it stops growing there: the result
+    is then a lower bound, still over the cap, since the space only grows
+    with depth.  This keeps the arithmetic small however large the bounds.
+    """
+
+    def capped_sum(terms) -> int:
+        total = 0
+        for term in terms:
+            total += term
+            if total > MAX_CLAUSE_SPACE:
+                break
+        return total
+
+    if width == 0:
+        return 1  # only the empty clause, at every depth
+    # with width >= 1 each level at least doubles the one below, so the loop
+    # passes the cap within about twenty levels; comb(n, k) is 0 for k > n
+    pool = 2 * variables  # the literal components
+    for level in range(depth + 1):
+        size = capped_sum(comb(pool, k) for k in range(min(width, pool) + 1))
+        if level == depth or size > MAX_CLAUSE_SPACE:
+            return size
+        # the next level's components: literals, boxes over this level, and
+        # diamonds over 1..width of its non-bottom clauses
+        diamonds = (comb(size - 1, k) for k in range(1, min(width, size - 1) + 1))
+        pool = capped_sum(chain((2 * variables, size), diamonds))
 
 
 @lru_cache(maxsize=None)
@@ -33,13 +70,22 @@ def _clause_space(vocab: tuple, depth: int, width: int) -> tuple:
 
 
 def enumerate_clauses(vocab, depth: int, width: int):
-    """Yield every normal-form clause within the bounds, in canonical order.
+    """Iterate over every normal-form clause within the bounds, in canonical order.
 
     Diamond bodies are nonempty sets of non-bottom clauses (a diamond over
     bottom would not be in normal form), box bodies are unrestricted, and
-    the empty clause comes first.
+    the empty clause comes first.  Raises ClauseBudgetExceeded, before
+    building any clause, when the space holds more than MAX_CLAUSE_SPACE.
     """
-    yield from _clause_space(tuple(sorted(vocab)), depth, width)
+    vocab = tuple(sorted(vocab))
+    size = _space_size(len(vocab), depth, width)
+    if size > MAX_CLAUSE_SPACE:
+        raise ClauseBudgetExceeded(
+            f"clause space of at least {size} clauses, over the cap of {MAX_CLAUSE_SPACE}",
+            reached=size,
+            limit=MAX_CLAUSE_SPACE,
+        )
+    return iter(_clause_space(vocab, depth, width))
 
 
 def within_bounds(c: Clause, vocab, depth: int, width: int) -> bool:

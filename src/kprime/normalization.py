@@ -60,12 +60,22 @@ def simplify_cnf(s) -> Cnf:
 
 
 def disjoin(*clauses: Clause) -> Clause:
-    """Disjunction of clauses; normal when every argument is."""
-    lits, boxes, dias = EMPTY, EMPTY, EMPTY
+    """Disjunction of clauses; normal when every argument is.
+
+    A part only one argument contributes is that argument's own frozenset,
+    not a copy of it.
+    """
+    lits = boxes = dias = EMPTY
     for c in clauses:
-        lits |= c.literals
-        boxes |= c.boxes
-        dias |= c.diamonds
+        part = c.literals
+        if part:
+            lits = lits | part if lits else part
+        part = c.boxes
+        if part:
+            boxes = boxes | part if boxes else part
+        part = c.diamonds
+        if part:
+            dias = dias | part if dias else part
     return Clause(lits, boxes, dias)
 
 

@@ -15,6 +15,11 @@ sugar: a -> b parses as ~a | b, and a <-> b as (~a | b) & (~b | a); the
 resulting tree never contains arrow nodes.  Box and diamond are kept as
 native operators.
 
+Within one parse, equal subformulas are one node (hash-consing): a repeated
+subterm, or the two copies of each side that <-> expands to, costs its nodes
+once.  The table that shares them lives for that parse only, so two parses
+share nothing and no table grows with the process.
+
 render produces text that parses back to a structurally identical tree:
 binary connectives are always parenthesized, unary operators bind their
 argument directly.
@@ -104,6 +109,32 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nodes: dict = {}  # this parse's node per distinct subformula
+
+    # Shared children are equal exactly when they are identical, so their ids
+    # key a node without hashing whole subtrees.
+
+    def unary_node(self, cls, body: Formula) -> Formula:
+        """This parse's one node cls(body), for a body already shared."""
+        key = (cls, id(body))
+        out = self.nodes.get(key)
+        if out is None:
+            out = self.nodes[key] = cls(body)
+        return out
+
+    def binary_node(self, cls, left: Formula, right: Formula) -> Formula:
+        """This parse's one node cls(left, right), for children already shared."""
+        key = (cls, id(left), id(right))
+        out = self.nodes.get(key)
+        if out is None:
+            out = self.nodes[key] = cls(left, right)
+        return out
+
+    def var(self, name: str) -> Formula:
+        out = self.nodes.get(name)
+        if out is None:
+            out = self.nodes[name] = Var(name)
+        return out
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -137,7 +168,8 @@ class _Parser:
         if self.peek().kind == "IFF":
             self.take()
             right = self.iff()
-            return And(Or(Not(left), right), Or(Not(right), left))
+            b, u = self.binary_node, self.unary_node
+            return b(And, b(Or, u(Not, left), right), b(Or, u(Not, right), left))
         return left
 
     def imp(self) -> Formula:
@@ -145,41 +177,41 @@ class _Parser:
         if self.peek().kind == "IMP":
             self.take()
             right = self.imp()
-            return Or(Not(left), right)
+            return self.binary_node(Or, self.unary_node(Not, left), right)
         return left
 
     def or_(self) -> Formula:
         out = self.and_()
         while self.peek().kind == "OR":
             self.take()
-            out = Or(out, self.and_())
+            out = self.binary_node(Or, out, self.and_())
         return out
 
     def and_(self) -> Formula:
         out = self.unary()
         while self.peek().kind == "AND":
             self.take()
-            out = And(out, self.unary())
+            out = self.binary_node(And, out, self.unary())
         return out
 
     def unary(self) -> Formula:
         kind = self.peek().kind
         if kind == "NOT":
             self.take()
-            return Not(self.unary())
+            return self.unary_node(Not, self.unary())
         if kind == "BOX":
             self.take()
-            return Box(self.unary())
+            return self.unary_node(Box, self.unary())
         if kind == "DIA":
             self.take()
-            return Diamond(self.unary())
+            return self.unary_node(Diamond, self.unary())
         return self.atom()
 
     def atom(self) -> Formula:
         tok = self.peek()
         if tok.kind == "VAR":
             self.take()
-            return Var(tok.text)
+            return self.var(tok.text)
         if tok.kind == "BOT":
             self.take()
             return BOT
@@ -192,7 +224,11 @@ class _Parser:
 
 
 def parse(text: str) -> Formula:
-    """Parse a formula; arrows are expanded away during parsing."""
+    """Parse a formula; arrows are expanded away during parsing.
+
+    Equal subformulas of the result are one object; nothing is shared with
+    the result of any other call.
+    """
     parser = _Parser(tokenize(text))
     try:
         out = parser.formula()

@@ -112,8 +112,11 @@ def _sigma(a: Clause, b: Clause, depth: int):
                 yield _wrap("sigma-or", (a, b), core, rem_a, rem_b)
 
     for x, y in ((a, b), (b, a)):
+        if not y.diamonds:
+            continue  # both rules below act on the partner's diamonds
         for d in sorted_clauses(x.boxes):
-            if y.diamonds and not all(d in s for s in y.diamonds):
+            rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
+            if not all(d in s for s in y.diamonds):
                 # a box body holds at every successor, so each diamond's
                 # witness satisfies it too: absorb the body into every
                 # diamond of the partner at once.  Resolution alone cannot
@@ -123,11 +126,9 @@ def _sigma(a: Clause, b: Clause, depth: int):
                 core = ResolutionStep(
                     "sigma-absorb", (box(d), Clause(diamonds=y.diamonds)), conclusion
                 )
-                rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
                 rem_y = Clause(y.literals, y.boxes)
                 yield _wrap("sigma-or", (a, b), core, rem_x, rem_y)
             for s in sorted(y.diamonds, key=cnf_key):
-                rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
                 rem_y = Clause(y.literals, y.boxes, y.diamonds - {s})
                 for e in sorted_clauses(s):
                     for inner in _sigma(d, e, depth - 1):

@@ -5,7 +5,10 @@ disjunctions branch, and once a world is propositionally saturated each
 diamond spawns a successor seeded with every box body.  K needs no frame
 conditions, so a dead-end world satisfies every box.  Open tableaux yield
 finite tree models of depth at most the modal depth of the query, which the
-caller can re-check with model_check.
+caller can re-check with model_check.  A model holds one frozenset per
+distinct valuation image: variables true at the same worlds share it, a
+variable true nowhere holds syntax.EMPTY, and one true everywhere holds the
+world set itself.
 
 A Tableau owns its node budget and its memo of finished verdicts: every
 search through it, an EntailmentOracle's included, runs under that budget,
@@ -27,6 +30,7 @@ from itertools import combinations_with_replacement
 from .cnf import nnf
 from .errors import RecursionDepthExceeded, TableauBudgetExceeded
 from .syntax import (
+    EMPTY,
     And,
     Bottom,
     Box,
@@ -129,23 +133,28 @@ class _Tree:
 
 def _tree_to_model(tree: _Tree, vocab) -> KripkeModel:
     worlds, relation = [], []
-    valuation = {p: set() for p in vocab}
+    valuation = {p: [] for p in vocab}
 
     def walk(node: _Tree) -> int:
         wid = len(worlds)
         worlds.append(wid)
         for p in node.vals:
-            valuation.setdefault(p, set()).add(wid)
+            valuation.setdefault(p, []).append(wid)
         for child in node.children:
             cid = walk(child)
             relation.append((wid, cid))
         return wid
 
     walk(tree)
+    all_worlds = frozenset(worlds)
+    images = {all_worlds: all_worlds, EMPTY: EMPTY}  # one set per distinct image
+    for p, ws in valuation.items():
+        image = frozenset(ws)
+        valuation[p] = images.setdefault(image, image)
     return KripkeModel(
-        worlds=frozenset(worlds),
-        relation=frozenset(relation),
-        valuation={p: frozenset(ws) for p, ws in valuation.items()},
+        worlds=all_worlds,
+        relation=frozenset(relation) or EMPTY,
+        valuation=valuation,
         root=0,
     )
 

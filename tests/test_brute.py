@@ -1,5 +1,8 @@
+import pytest
+
 from kprime import (
     BOTTOM_CLAUSE,
+    ClauseBudgetExceeded,
     PicConfig,
     enumerate_clauses,
     make_cnf,
@@ -7,6 +10,7 @@ from kprime import (
     prime_implicates_brute,
     within_bounds,
 )
+from kprime.brute import MAX_CLAUSE_SPACE, _clause_space, _space_size
 from kprime.generators import random_kb
 from kprime.syntax import clause_key
 
@@ -35,6 +39,37 @@ def test_enumeration_count_matches_hand_combinatorics():
     pool = 4 + 11 + (10 + 45)
     expected = 1 + pool + pool * (pool - 1) // 2
     assert len(list(enumerate_clauses(("p", "q"), 1, 2))) == expected
+
+
+@pytest.mark.parametrize(
+    "vocab, depth, width",
+    [(("p",), 0, 1), (("p",), 1, 1), (("p", "q"), 0, 3), (("p", "q"), 1, 0),
+     (("p", "q"), 1, 1), (("p", "q"), 1, 2), (("p", "q"), 2, 1), ((), 2, 2)],
+)
+def test_space_size_counts_the_enumerated_clauses(vocab, depth, width):
+    assert _space_size(len(vocab), depth, width) == len(_clause_space(vocab, depth, width))
+
+
+def test_space_size_at_the_documented_bounds():
+    assert (_space_size(2, 1, 2), _space_size(3, 1, 2)) == (2_486, 33_671)
+    # p, q at depth 2: 3,091,345 components (about 4.8e12 clauses); the count
+    # stops just past the cap, so it reports the clauses of at most one component
+    assert _space_size(2, 2, 2) == 1 + 3_091_345
+    # bounds far past the cap count in a few small steps
+    assert _space_size(1, 10**6, 10**6) > MAX_CLAUSE_SPACE
+    assert _space_size(1_000, 10**6, 10**6) > MAX_CLAUSE_SPACE
+    assert _space_size(1_000, 10**6, 0) == 1
+
+
+def test_clause_space_over_the_cap_raises_before_building():
+    assert MAX_CLAUSE_SPACE == 100_000
+    with pytest.raises(ClauseBudgetExceeded) as info:
+        enumerate_clauses(("p", "q"), 2, 2)
+    assert info.value.limit == MAX_CLAUSE_SPACE
+    assert info.value.reached > MAX_CLAUSE_SPACE
+    assert str(MAX_CLAUSE_SPACE) in str(info.value)
+    with pytest.raises(ClauseBudgetExceeded):
+        prime_implicates_brute(make_cnf([cl("p")]), ("p", "q"), 2, 2)
 
 
 def test_enumeration_is_duplicate_free():

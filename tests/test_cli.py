@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -124,6 +126,25 @@ def test_oracle_output_reads_back_as_clauses(capsys):
     assert code == 0
     clauses = json.loads(out)
     assert clauses and [clause_to_json(clause_from_json(c)) for c in clauses] == clauses
+
+
+def test_oracle_output_is_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "oracle", str(EXAMPLE), "--vars", "p,q", "--depth", "1", "--width", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_EXAMPLE_SHA256
+
+
+# sha256 of `oracle example.k --vars p,q --depth 1 --width 2` stdout
+ORACLE_EXAMPLE_SHA256 = "3fffda67ea6a2ce6f9810982fc36f4870c7e71f981aa4eb1c790bd15f38013fe"
+
+
+def test_oracle_over_the_clause_space_cap_exits_three(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", str(EXAMPLE), "--vars", "p,q", "--depth", "2", "--width", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("kprime: ClauseBudgetExceeded: ") and "Traceback" not in err
+    assert "100000" in err
 
 
 def test_formula_mode(tmp_path, capsys):

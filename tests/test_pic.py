@@ -343,3 +343,17 @@ def test_trace_records_drops_with_subsumers(oracle):
     assert dropped
     for c, w in dropped:
         assert oracle.clause_entails(w, c)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="covering gap (ROADMAP direction 1): gamma-dichotomy splits a box body "
+    "only on whether a successor exists, never on a literal, so no compiled clause "
+    "covers []p | <>(q & r)",
+)
+def test_compiled_set_covers_what_two_overlapping_boxes_entail():
+    kb = make_cnf([cl("[](p | q)"), cl("[](p | r)")])
+    query = cl("[]p | <>(q & r)")
+    compiled = prime_implicates(kb).prime_implicates
+    covered = covering_implicate(compiled, query) is not None
+    assert covered == EntailmentOracle().is_implicate(kb, query)

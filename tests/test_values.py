@@ -1,8 +1,11 @@
-"""Value objects stay compact: slotted classes and one shared empty part.
+"""Value objects stay compact: slotted classes, shared parts, shared nodes.
 
 A compile keeps many clauses and a parse many formula nodes, so what one
 value costs sets what a long-running caller (the benchmark keeps every
-result it makes) holds in memory.
+result it makes) holds in memory.  Builders share equal sub-objects within
+one call: a parse builds one node per distinct subformula, disjoin reuses a
+part only one argument contributes, and a SAT model holds one set per
+distinct valuation image.
 """
 
 import dataclasses
@@ -14,6 +17,7 @@ from itertools import product
 import pytest
 
 from kprime import (
+    BOTTOM_CLAUSE,
     And,
     BudgetExceeded,
     EntailmentOracle,
@@ -30,10 +34,11 @@ from kprime import (
 )
 from kprime.brute import enumerate_clauses
 from kprime.generators import random_clause, random_formula, random_kb
+from kprime.normalization import disjoin
 from kprime.parser import Token
 from kprime.pic import PicResult, StageRecord
 from kprime.resolution import ResolutionStep
-from kprime.semantics import KripkeModel, SatResult, _Tree
+from kprime.semantics import KripkeModel, SatResult, _Tree, model_check
 from kprime.syntax import (
     EMPTY,
     Bottom,
@@ -49,6 +54,8 @@ from kprime.syntax import (
     cnf_key,
     sorted_clauses,
 )
+
+from conftest import cl
 
 P = Var("p")
 
@@ -179,6 +186,82 @@ def test_every_empty_part_is_the_shared_empty():
     assert [c for c in reached for _ in _unshared_empties(c)] == []
 
 
+def _nodes(f):
+    """Every node of a formula tree, once per occurrence."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack += [getattr(g, name) for name in ("body", "left", "right") if hasattr(g, name)]
+
+
+def test_parse_shares_equal_subformulas():
+    f = parse("(p & q) | (p & q)")
+    assert f.left is f.right
+    # a <-> b expands to (~a | b) & (~b | a): each side appears twice, built once
+    g = parse("a <-> b")
+    assert g.left.left.body is g.right.right
+    assert g.left.right is g.right.left.body
+
+
+def test_parses_share_nothing():
+    assert parse("p & q").left is not parse("p & q").left
+
+
+def test_parse_builds_one_node_per_distinct_subformula():
+    rng = random.Random(11)
+    for _ in range(500):
+        f = random_formula(rng, ("p", "q", "r"), rng.randint(0, 3), rng.randint(1, 16), None)
+        g = parse(render(f))
+        assert g == f
+        nodes = list(_nodes(g))
+        assert len({id(n) for n in nodes}) == len(set(nodes)), render(f)
+
+
+def test_disjoin_reuses_a_part_one_argument_contributes():
+    a = cl("p | ~q | []r")
+    assert disjoin(a, BOTTOM_CLAUSE).literals is a.literals
+    assert disjoin(BOTTOM_CLAUSE, a).boxes is a.boxes
+    b = cl("r | <>q")
+    both = disjoin(a, b)
+    assert both.boxes is a.boxes and both.diamonds is b.diamonds
+    assert both.literals == a.literals | b.literals
+
+
+def test_disjoin_is_the_union_of_the_parts():
+    rng = random.Random(12)
+    for _ in range(500):
+        clauses = [random_clause(rng, ("p", "q"), 2, 3) for _ in range(rng.randint(0, 4))]
+        expected = Clause(
+            EMPTY.union(*(c.literals for c in clauses)),
+            EMPTY.union(*(c.boxes for c in clauses)),
+            EMPTY.union(*(c.diamonds for c in clauses)),
+        )
+        got = disjoin(*clauses)
+        assert got == expected
+        assert list(_unshared_empties(got)) == []
+
+
+def test_sat_models_share_equal_valuation_images():
+    images = empties = 0
+    for text in _prove_cnf_texts(random.Random(13), 200):
+        formula = parse(text)
+        verdict = Tableau().satisfiable(formula)
+        if not verdict.satisfiable:
+            continue
+        model = verdict.model
+        assert model_check(model, verdict.world, formula)
+        kept = [model.worlds, *model.valuation.values()]
+        assert len({id(image) for image in kept}) == len(set(kept))
+        for image in model.valuation.values():
+            images += 1
+            if not image:
+                empties += 1
+                assert image is EMPTY
+        assert model.relation or model.relation is EMPTY
+    assert images > 500 and empties > 50
+
+
 def _retained_bytes_per_item(work, inputs):
     """Bytes the results of work still hold once the key caches are emptied."""
     clause_key.cache_clear()
@@ -199,12 +282,13 @@ def _retained_bytes_per_item(work, inputs):
 
 
 # Measured with CPython 3.11 at seed 101 over 300 items each: a compile-mix
-# item (the parsed KB and its PicResult) retains 6.0 KB, and a parsed
-# prove-cnf formula 5.1 KB.  With dict-backed dataclasses and one empty
-# frozenset per empty part they retained 10.6 KB and 9.8 KB.  The bounds
-# are about 1.25 times the measured values.
-COMPILE_RETAINED_BOUND = 7_700
-PARSE_RETAINED_BOUND = 6_500
+# item (the parsed KB and its PicResult) retains 5.6 KB, and a parsed
+# prove-cnf formula 2.8 KB.  Before disjoin reused parts and the parser
+# shared equal subformulas they retained 6.2 KB and 5.2 KB; with
+# dict-backed dataclasses and one empty frozenset per empty part, 10.6 KB
+# and 9.8 KB.  The bounds are about 1.25 times the measured values.
+COMPILE_RETAINED_BOUND = 7_000
+PARSE_RETAINED_BOUND = 3_500
 
 
 def test_retained_memory_per_item():
