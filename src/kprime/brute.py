@@ -54,7 +54,9 @@ def _space_size(variables: int, depth: int, width: int) -> int:
         pool = capped_sum(chain((2 * variables, size), diamonds))
 
 
-@lru_cache(maxsize=None)
+# a few spaces with the ones below them: enough for a suite that checks
+# many knowledge bases over one space, without keeping every space ever built
+@lru_cache(maxsize=4)
 def _clause_space(vocab: tuple, depth: int, width: int) -> tuple:
     # every possible component at this nesting level, as a unit clause
     pool = [literal(Literal(v, pol)) for v in vocab for pol in (True, False)]

@@ -34,29 +34,42 @@ DEFAULT_CLAUSE_BUDGET = 10_000
 
 
 def nnf(f: Formula, negated: bool = False) -> Formula:
-    """Negation normal form; ~ survives only on variables and on bot."""
+    """Negation normal form; ~ survives only on variables and on bot.
+
+    A node shared in f gives one shared node per polarity in the result.
+    """
     try:
-        if isinstance(f, Var):
-            return Not(f) if negated else f
-        if isinstance(f, Bottom):
-            return Not(f) if negated else f
-        if isinstance(f, Not):
-            return nnf(f.body, not negated)
-        if isinstance(f, And):
-            a, b = nnf(f.left, negated), nnf(f.right, negated)
-            return Or(a, b) if negated else And(a, b)
-        if isinstance(f, Or):
-            a, b = nnf(f.left, negated), nnf(f.right, negated)
-            return And(a, b) if negated else Or(a, b)
-        if isinstance(f, Diamond):
-            body = nnf(f.body, negated)
-            return Box(body) if negated else Diamond(body)
-        if isinstance(f, Box):
-            body = nnf(f.body, negated)
-            return Diamond(body) if negated else Box(body)
+        return _nnf(f, negated, {})
     except RecursionError:
         raise RecursionDepthExceeded("formula nested too deep to convert") from None
-    raise TypeError(f"not a formula: {f!r}")
+
+
+def _nnf(f: Formula, negated: bool, done: dict) -> Formula:
+    # done maps (id, polarity) to the result; f's nodes outlive the call
+    key = (id(f), negated)
+    out = done.get(key)
+    if out is not None:
+        return out
+    if isinstance(f, (Var, Bottom)):
+        out = Not(f) if negated else f
+    elif isinstance(f, Not):
+        out = _nnf(f.body, not negated, done)
+    elif isinstance(f, And):
+        a, b = _nnf(f.left, negated, done), _nnf(f.right, negated, done)
+        out = Or(a, b) if negated else And(a, b)
+    elif isinstance(f, Or):
+        a, b = _nnf(f.left, negated, done), _nnf(f.right, negated, done)
+        out = And(a, b) if negated else Or(a, b)
+    elif isinstance(f, Diamond):
+        body = _nnf(f.body, negated, done)
+        out = Box(body) if negated else Diamond(body)
+    elif isinstance(f, Box):
+        body = _nnf(f.body, negated, done)
+        out = Diamond(body) if negated else Box(body)
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    done[key] = out
+    return out
 
 
 def _check(clauses):

@@ -28,7 +28,7 @@ argument directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError, RecursionDepthExceeded
 from .syntax import BOT, VAR_NAME, And, Bottom, Box, Diamond, Formula, Not, Or, Var
@@ -46,13 +46,13 @@ _TOKEN_RE = re.compile(
     | (?P<OR>\|)
     | (?P<LP>\()
     | (?P<RP>\))
+    | (?P<BAD>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -62,30 +62,26 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     tokens = []
     line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                "unexpected character",
-                line,
-                pos - line_start + 1,
-                expected=("variable", "bot", "~", "&", "|", "->", "<->", "[]", "<>", "(", ")"),
-                found=text[pos],
-            )
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         chunk = m.group()
         if kind == "WS":
-            for i, ch in enumerate(chunk):
-                if ch == "\n":
-                    line += 1
-                    line_start = pos + i + 1
-        else:
-            if kind == "VAR" and chunk == "bot":
-                kind = "BOT"
-            tokens.append(Token(kind, chunk, line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
+            if "\n" in chunk:
+                line += chunk.count("\n")
+                line_start = m.start() + chunk.rindex("\n") + 1
+            continue
+        if kind == "BAD":
+            raise ParseError(
+                "unexpected character",
+                line,
+                m.start() - line_start + 1,
+                expected=("variable", "bot", "~", "&", "|", "->", "<->", "[]", "<>", "(", ")"),
+                found=chunk,
+            )
+        if kind == "VAR" and chunk == "bot":
+            kind = "BOT"
+        tokens.append(Token(kind, chunk, line, m.start() - line_start + 1))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 

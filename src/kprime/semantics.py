@@ -12,7 +12,11 @@ world set itself.
 
 A Tableau owns its node budget and its memo of finished verdicts: every
 search through it, an EntailmentOracle's included, runs under that budget,
-and the Tableau counts each search's nodes itself.
+and the Tableau counts each search's nodes itself.  A node's formula set is
+built from sets that already hold their members' hashes, so each formula is
+hashed once when it joins a set, not again at every node below; a search
+computes the sort key of each distinct subformula at most once, and none
+where only one formula is left to choose from.
 A search that fails on the budget or the stack leaves the memo as it found
 it, so the same query repeats its error; memo hits cost no nodes, so a
 different query can still pass on a memo warmed by earlier ones.
@@ -30,7 +34,9 @@ from itertools import combinations_with_replacement
 from .cnf import nnf
 from .errors import RecursionDepthExceeded, TableauBudgetExceeded
 from .syntax import (
+    BOT,
     EMPTY,
+    TOP,
     And,
     Bottom,
     Box,
@@ -38,7 +44,6 @@ from .syntax import (
     Formula,
     Not,
     Or,
-    TOP,
     Var,
     formula_sort_key,
     variables,
@@ -159,17 +164,14 @@ def _tree_to_model(tree: _Tree, vocab) -> KripkeModel:
     )
 
 
-def _strip_top(formulas) -> frozenset:
-    return frozenset(f for f in formulas if f != TOP)
-
-
 class Tableau:
     """Satisfiability procedure for K with a cross-query result cache.
 
     node_budget, the only tableau budget, caps the nodes of each search;
     the tableau counts the nodes of its current search itself, so it runs
     one search at a time.  The cache only stores finished verdicts for
-    formula sets.
+    formula sets.  A search hashes each formula as it joins a set and
+    computes each distinct subformula's sort key at most once.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -177,6 +179,7 @@ class Tableau:
             raise ValueError("node_budget must be positive")
         self.node_budget = node_budget
         self._nodes = 0  # nodes expanded by the current search
+        self._sort_keys: dict = {}  # formula_sort_key by id, for the current search only
         self._memo: dict = {}
 
     def satisfiable(self, f: Formula) -> SatResult:
@@ -189,27 +192,44 @@ class Tableau:
         """
         memo_size = len(self._memo)
         self._nodes = 0
+        root = nnf(f)  # keeps every formula the search orders, and so its id, alive
         try:
-            tree = self._solve((nnf(f),))
+            tree = self._solve((root,))
             if tree is None:
                 return SatResult(False)
             model = _tree_to_model(tree, sorted(variables(f)))
-        except (TableauBudgetExceeded, RecursionError) as e:
+        except (TableauBudgetExceeded, RecursionDepthExceeded, RecursionError) as e:
             # dicts pop last-in first: this drops exactly the entries this call added
             while len(self._memo) > memo_size:
                 self._memo.popitem()
             if isinstance(e, TableauBudgetExceeded):
                 raise
+            # too deep for the search itself or for hashing a formula in it
             raise RecursionDepthExceeded("formula nested too deep to decide") from None
+        finally:
+            self._sort_keys.clear()
         return SatResult(True, model, model.root)
 
     def entails(self, f: Formula, g: Formula) -> bool:
         """Local consequence: every pointed model of f satisfies g."""
         return not self.satisfiable(And(f, Not(g))).satisfiable
 
+    def _sort_key(self, f: Formula):
+        key = self._sort_keys.get(id(f))
+        if key is None:
+            key = self._sort_keys[id(f)] = formula_sort_key(f)
+        return key
+
+    def _least(self, formulas: list) -> Formula:
+        """The first of the formulas in formula_sort_key order; a lone one needs no key."""
+        return formulas[0] if len(formulas) == 1 else min(formulas, key=self._sort_key)
+
     def _solve(self, formulas) -> _Tree | None:
-        formulas = _strip_top(formulas)
-        if Bottom() in formulas:
+        # a frozenset comes back as is, and a set's members keep their hashes
+        formulas = frozenset(formulas)
+        if TOP in formulas:
+            formulas = formulas - {TOP}
+        if BOT in formulas:
             return None
         cached = self._memo.get(formulas)
         if cached is not None or formulas in self._memo:
@@ -228,13 +248,13 @@ class Tableau:
     def _expand(self, formulas: frozenset) -> _Tree | None:
         ands = [f for f in formulas if isinstance(f, And)]
         if ands:
-            f = min(ands, key=formula_sort_key)
+            f = self._least(ands)
             rest = (formulas - {f}) | {f.left, f.right}
             return self._solve(rest)
 
         ors = [f for f in formulas if isinstance(f, Or)]
         if ors:
-            f = min(ors, key=formula_sort_key)
+            f = self._least(ors)
             rest = formulas - {f}
             for branch in (f.left, f.right):
                 tree = self._solve(rest | {branch})
@@ -261,7 +281,7 @@ class Tableau:
 
         children = []
         boxes = frozenset(box_bodies)
-        for body in sorted(diamonds, key=formula_sort_key):
+        for body in sorted(diamonds, key=self._sort_key):
             child = self._solve({body} | boxes)
             if child is None:
                 return None

@@ -29,7 +29,13 @@ from .errors import RecursionDepthExceeded
 
 
 class Formula:
-    """Base class for modal formula nodes."""
+    """Base class for modal formula nodes.
+
+    The recursive nodes write their own hash and repr, so that a formula
+    nested deeper than the stack raises RecursionDepthExceeded there too;
+    each hash starts with the node's formula_sort_key tag, so that ~p, <>p
+    and []p (or p & q and p | q) do not collide.
+    """
 
     __slots__ = ()
 
@@ -48,11 +54,35 @@ class Bottom(Formula):
 class Not(Formula):
     body: Formula
 
+    def __hash__(self):
+        try:
+            return hash((2, self.body))
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to hash") from None
+
+    def __repr__(self):
+        try:
+            return f"Not(body={self.body!r})"
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to print") from None
+
 
 @dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
+
+    def __hash__(self):
+        try:
+            return hash((3, self.left, self.right))
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to hash") from None
+
+    def __repr__(self):
+        try:
+            return f"And(left={self.left!r}, right={self.right!r})"
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to print") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,15 +90,51 @@ class Or(Formula):
     left: Formula
     right: Formula
 
+    def __hash__(self):
+        try:
+            return hash((4, self.left, self.right))
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to hash") from None
+
+    def __repr__(self):
+        try:
+            return f"Or(left={self.left!r}, right={self.right!r})"
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to print") from None
+
 
 @dataclass(frozen=True, slots=True)
 class Diamond(Formula):
     body: Formula
 
+    def __hash__(self):
+        try:
+            return hash((5, self.body))
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to hash") from None
+
+    def __repr__(self):
+        try:
+            return f"Diamond(body={self.body!r})"
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to print") from None
+
 
 @dataclass(frozen=True, slots=True)
 class Box(Formula):
     body: Formula
+
+    def __hash__(self):
+        try:
+            return hash((6, self.body))
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to hash") from None
+
+    def __repr__(self):
+        try:
+            return f"Box(body={self.body!r})"
+        except RecursionError:
+            raise RecursionDepthExceeded("formula nested too deep to print") from None
 
 
 BOT = Bottom()
@@ -222,7 +288,14 @@ def literal_sort_key(lit: Literal):
     return (lit.variable, not lit.positive)
 
 
-@lru_cache(maxsize=None)
+# Entries each key cache keeps, newest used first.  One compile reuses its
+# own keys (at most about 100 on the benchmark's compile mix); across
+# compiles a key is rarely asked for again, so a bound loses no useful hit
+# and the caches no longer keep every clause they ever keyed alive.
+KEY_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=KEY_CACHE_SIZE)
 def clause_key(c: Clause):
     """Canonical comparable key: equal iff structurally equal, totally ordered.
 
@@ -239,7 +312,7 @@ def clause_key(c: Clause):
         raise RecursionDepthExceeded("clause nested too deep to order") from None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KEY_CACHE_SIZE)
 def cnf_key(s: Cnf):
     return tuple(sorted(clause_key(c) for c in s))
 

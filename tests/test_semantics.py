@@ -149,6 +149,42 @@ def test_deep_nesting_is_a_budget_error(tableau):
         tableau.satisfiable(deep)
 
 
+# (formula, satisfiable, memo entries and nodes of a cold search, model as
+# JSON): the search order, the memo keys and the models, pinned.  They cover
+# the ~bot conjuncts and disjuncts the search drops, bot branches, and
+# subformulas the parse shares.
+PINNED_SEARCHES = [
+    ("(p | ~bot) & ~bot & <>(~bot & q) & [](r | ~bot) & (~bot | ~p)", True, 10,
+     {"rel": [[0, 1]], "root": 0, "val": {"p": [0], "q": [1], "r": [1]}, "worlds": [0, 1]}),
+    ("(bot | p) & <>(bot | q) & [](~q | bot | r) & <>~r", True, 13,
+     {"rel": [[0, 1], [0, 2]], "root": 0, "val": {"p": [0], "q": [2], "r": [2]},
+      "worlds": [0, 1, 2]}),
+    ("(bot | p) & <>(bot | q) & [](~q | bot)", False, 7, None),
+    ("((p -> q) <-> <>(p -> q)) & []((p -> q) | <>(p -> q)) & <>~(p -> q)", True, 15,
+     {"rel": [[0, 1], [1, 2]], "root": 0, "val": {"p": [0, 1], "q": []},
+      "worlds": [0, 1, 2]}),
+]
+
+
+@pytest.mark.parametrize("text, sat, nodes, model", PINNED_SEARCHES)
+def test_search_is_pinned(text, sat, nodes, model):
+    tableau = Tableau()
+    verdict = tableau.satisfiable(parse(text))
+    assert verdict.satisfiable is sat
+    assert (len(tableau._memo), tableau._nodes) == (nodes, nodes)
+    assert (verdict.model.to_json() if verdict.model else None) == model
+
+
+def test_warm_memo_searches_are_pinned():
+    tableau = Tableau()
+    texts = [text for text, *_ in PINNED_SEARCHES]
+    seen = []
+    for text in texts + texts[::-1]:
+        tableau.satisfiable(parse(text))
+        seen.append((len(tableau._memo), tableau._nodes))
+    assert seen == [(10, 10), (22, 12), (27, 5), (42, 15)] + [(42, 0)] * 4
+
+
 def test_model_json_roundtrip(tableau):
     verdict = tableau.satisfiable(parse("<>(p & q) & <>~p"))
     m = verdict.model

@@ -27,7 +27,7 @@ from kprime import (
     variables,
 )
 from kprime.generators import random_clause, random_formula
-from kprime.syntax import Clause, clause_key, formula_sort_key
+from kprime.syntax import Clause, Or, clause_key, formula_sort_key
 
 from conftest import cl
 
@@ -138,3 +138,34 @@ DEEP_INPUT_CALLS = {
 def test_deep_input_is_a_budget_error(call):
     with pytest.raises(RecursionDepthExceeded):
         DEEP_INPUT_CALLS[call]()
+
+
+# each connective nested deeper than the stack, on the left or the right
+DEEP_CONNECTIVES = {
+    "Not": Not,
+    "And": lambda f: And(f, P),
+    "Or": lambda f: Or(P, f),
+    "Diamond": Diamond,
+    "Box": Box,
+}
+
+
+@pytest.mark.parametrize("call", [hash, repr], ids=["hash", "repr"])
+@pytest.mark.parametrize("connective", sorted(DEEP_CONNECTIVES))
+def test_deep_hash_and_repr_are_budget_errors(connective, call):
+    deep = P
+    for _ in range(5000):
+        deep = DEEP_CONNECTIVES[connective](deep)
+    with pytest.raises(RecursionDepthExceeded):
+        call(deep)
+
+
+def test_hash_and_repr_follow_the_fields(rng):
+    f = And(Not(P), Or(Box(BOT), Diamond(Var("q"))))
+    assert repr(f) == (
+        "And(left=Not(body=Var(name='p')), "
+        "right=Or(left=Box(body=Bottom()), right=Diamond(body=Var(name='q'))))"
+    )
+    for _ in range(200):
+        g = random_formula(rng, ("p", "q"), 2, rng.randint(1, 12))
+        assert hash(parse(render(g))) == hash(g)

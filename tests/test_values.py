@@ -3,14 +3,16 @@
 A compile keeps many clauses and a parse many formula nodes, so what one
 value costs sets what a long-running caller (the benchmark keeps every
 result it makes) holds in memory.  Builders share equal sub-objects within
-one call: a parse builds one node per distinct subformula, disjoin reuses a
-part only one argument contributes, and a SAT model holds one set per
-distinct valuation image.
+one call: a parse builds one node per distinct subformula, nnf keeps that
+sharing, disjoin reuses a part only one argument contributes, and a SAT
+model holds one set per distinct valuation image.  No library cache grows
+for the life of the process.
 """
 
 import dataclasses
 import gc
 import random
+import sys
 import tracemalloc
 from itertools import product
 
@@ -26,6 +28,7 @@ from kprime import (
     clause_from_json,
     clause_to_json,
     make_cnf,
+    nnf,
     parse,
     prime_implicates,
     render,
@@ -41,6 +44,7 @@ from kprime.resolution import ResolutionStep
 from kprime.semantics import KripkeModel, SatResult, _Tree, model_check
 from kprime.syntax import (
     EMPTY,
+    KEY_CACHE_SIZE,
     Bottom,
     Box,
     Clause,
@@ -218,6 +222,21 @@ def test_parse_builds_one_node_per_distinct_subformula():
         assert len({id(n) for n in nodes}) == len(set(nodes)), render(f)
 
 
+def test_nnf_keeps_the_sharing_of_its_input():
+    # ~p | q occurs under ~ once, and so at both polarities: one node each
+    g = nnf(parse("~((p -> q) & []~(p -> q)) | ((p -> q) & []~(p -> q))"))
+    assert g.right.left is g.left.right.body
+    assert g.right.right.body is g.left.left
+    # each <-> doubles its sides; a shared input keeps the result linear in
+    # the chain (a tree copy would double with every link)
+    text = "a"
+    for v in "bcdefg":
+        text = f"({text} <-> {v})"
+    f = parse(text)
+    distinct = len({id(n) for n in _nodes(f)})
+    assert len({id(n) for n in _nodes(nnf(f))}) <= 2 * distinct
+
+
 def test_disjoin_reuses_a_part_one_argument_contributes():
     a = cl("p | ~q | []r")
     assert disjoin(a, BOTTOM_CLAUSE).literals is a.literals
@@ -296,3 +315,45 @@ def test_retained_memory_per_item():
     parsed = _retained_bytes_per_item(parse, _prove_cnf_texts(random.Random(101), 300))
     assert compiled < COMPILE_RETAINED_BOUND, f"compile-mix item retains {compiled:.0f} B"
     assert parsed < PARSE_RETAINED_BOUND, f"parsed prove-cnf formula retains {parsed:.0f} B"
+
+
+def _library_caches():
+    for name, module in sorted(sys.modules.items()):
+        if name == "kprime" or name.startswith("kprime."):
+            for attr, obj in sorted(vars(module).items()):
+                if callable(getattr(obj, "cache_info", None)):
+                    yield f"{name}.{attr}", obj
+
+
+def test_every_library_cache_is_bounded():
+    caches = dict(_library_caches())
+    assert "kprime.syntax.clause_key" in caches and "kprime.brute._clause_space" in caches
+    assert {name for name, cache in caches.items() if cache.cache_info().maxsize is None} == set()
+
+
+def test_key_caches_stay_within_their_bound():
+    clause_key.cache_clear()
+    cnf_key.cache_clear()
+    for text in _compile_mix_texts(random.Random(101), 3456):
+        _compile(text)
+    # the compiles key far more clauses than the caches keep
+    assert clause_key.cache_info().misses > KEY_CACHE_SIZE
+    assert clause_key.cache_info().currsize <= KEY_CACHE_SIZE
+    assert cnf_key.cache_info().currsize <= KEY_CACHE_SIZE
+
+
+def test_rendering_leaves_a_bounded_working_set():
+    clause_key.cache_clear()
+    cnf_key.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _prove_cnf_texts(random.Random(101), 2000)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # what stays is the two key caches at their bound, with the clauses they
+    # key: 2.4 MB, measured with CPython 3.11; unbounded, they kept 20.7 MB
+    assert left < 3_000_000, f"{left} B left after rendering 2,000 formulas"
