@@ -15,10 +15,10 @@ from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 
-from .errors import ClauseBudgetExceeded
+from .errors import ClauseBudgetExceeded, RecursionDepthExceeded
 from .normalization import box, diamond, disjoin, literal, simplify_cnf
 from .pic import EntailmentOracle, residue_detailed
-from .syntax import Clause, Cnf, Literal, clause_key
+from .syntax import BOTTOM_CLAUSE, Clause, Cnf, Literal, clause_key
 
 MAX_CLAUSE_SPACE = 100_000  # clauses enumerate_clauses may build for one set of bounds
 
@@ -58,6 +58,8 @@ def _space_size(variables: int, depth: int, width: int) -> int:
 # many knowledge bases over one space, without keeping every space ever built
 @lru_cache(maxsize=4)
 def _clause_space(vocab: tuple, depth: int, width: int) -> tuple:
+    if width == 0:
+        return (BOTTOM_CLAUSE,)  # the one clause at every depth: no recursion
     # every possible component at this nesting level, as a unit clause
     pool = [literal(Literal(v, pol)) for v in vocab for pol in (True, False)]
     if depth > 0:
@@ -99,14 +101,17 @@ def within_bounds(c: Clause, vocab, depth: int, width: int) -> bool:
         return False
     if (c.boxes or c.diamonds) and depth <= 0:
         return False
-    for b in c.boxes:
-        if not within_bounds(b, vocab, depth - 1, width):
-            return False
-    for s in c.diamonds:
-        if not s or len(s) > width:
-            return False
-        if any(m.is_bottom or not within_bounds(m, vocab, depth - 1, width) for m in s):
-            return False
+    try:
+        for b in c.boxes:
+            if not within_bounds(b, vocab, depth - 1, width):
+                return False
+        for s in c.diamonds:
+            if not s or len(s) > width:
+                return False
+            if any(m.is_bottom or not within_bounds(m, vocab, depth - 1, width) for m in s):
+                return False
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to bound") from None
     return True
 
 

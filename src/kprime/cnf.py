@@ -33,13 +33,13 @@ from .syntax import (
 DEFAULT_CLAUSE_BUDGET = 10_000
 
 
-def nnf(f: Formula, negated: bool = False) -> Formula:
+def nnf(f: Formula) -> Formula:
     """Negation normal form; ~ survives only on variables and on bot.
 
     A node shared in f gives one shared node per polarity in the result.
     """
     try:
-        return _nnf(f, negated, {})
+        return _nnf(f, False, {})
     except RecursionError:
         raise RecursionDepthExceeded("formula nested too deep to convert") from None
 

@@ -1,7 +1,7 @@
 """Prime implicate compilation and query answering.
 
 The compiler alternates one-step resolution closure with deletion of
-subsumed clauses until the set stops changing (compared by canonical key),
+subsumed clauses until the set stops changing (compared by value),
 minimizes the fixpoint with an entailment-based residue, and answers
 queries by scanning the compiled set for a covering clause.  One
 antichain routine serves both reductions, parametrised by the dominance
@@ -11,13 +11,14 @@ the representative with the smallest (length, key) pair, so the whole
 pipeline is deterministic for a given input.
 
 Clause-to-clause entailment rides on the tableau; an EntailmentOracle
-caches verdicts per clause pair, and only those, because residue and query
-answering repeat them (a repeated KB-level question is answered by the
-tableau's memo).  The caller owns that cache and, through the oracle's
-Tableau(node_budget=N), the node budget of every check.  Every entry point
-takes an oracle; one called without builds a fresh oracle over a fresh
-Tableau for that call alone, so no verdict or budget outcome carries over
-between calls the caller did not tie together.
+caches verdicts per clause pair, and only those, because the residue's
+witness pass repeats checks (distinct queries share no pair; a repeated
+KB-level question is answered by the tableau's memo).  The caller owns
+that cache and, through the oracle's Tableau(node_budget=N), the node
+budget of every check.  Every entry point takes an oracle; one called
+without builds a fresh oracle over a fresh Tableau for that call alone, so
+no verdict or budget outcome carries over between calls the caller did
+not tie together.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class EntailmentOracle:
 
     def clause_entails(self, d: Clause, c: Clause) -> bool:
         """True iff every pointed model of d satisfies c."""
-        key = (clause_key(d), clause_key(c))
+        key = (d, c)  # clauses are equal exactly when their canonical keys are
         hit = self._pair_cache.get(key)
         if hit is None:
             hit = self.tableau.entails(clause_to_formula(d), clause_to_formula(c))

@@ -82,15 +82,6 @@ class KripkeModel:
             "root": self.root,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "KripkeModel":
-        return cls(
-            worlds=frozenset(obj["worlds"]),
-            relation=frozenset((u, v) for u, v in obj["rel"]),
-            valuation={p: frozenset(ws) for p, ws in obj["val"].items()},
-            root=obj["root"],
-        )
-
 
 def model_check(m: KripkeModel, w, f: Formula) -> bool:
     """Truth of a formula at a world, by structural recursion.

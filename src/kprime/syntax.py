@@ -24,33 +24,50 @@ from functools import lru_cache
 from .errors import RecursionDepthExceeded
 
 
+def _repr(self) -> str:
+    """Name(field=value!r, ...) as a dataclass prints it, guarded against depth.
+
+    A plain loop, not a generator, and a direct __repr__ call, not repr()
+    or !r (each a second counted level), keep one formula level to one.
+    """
+    try:
+        fields = []
+        for name in self.__slots__:
+            fields.append(f"{name}={getattr(self, name).__repr__()}")
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+    except RecursionError:
+        raise RecursionDepthExceeded("value nested too deep to print") from None
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 
 
 class Formula:
-    """Base class for modal formula nodes.
+    """Base class for modal formula nodes; all print through _repr.
 
-    The recursive nodes write their own hash and repr, so that a formula
-    nested deeper than the stack raises RecursionDepthExceeded there too;
-    each hash starts with the node's formula_sort_key tag, so that ~p, <>p
-    and []p (or p & q and p | q) do not collide.
+    Each recursive node writes its own hash (the tableau's hottest call;
+    every shared form measured slower), which raises RecursionDepthExceeded
+    on a formula nested deeper than the stack and starts with the node's
+    formula_sort_key tag, so that ~p, <>p and []p (or p & q and p | q) do
+    not collide.
     """
 
     __slots__ = ()
+    __repr__ = _repr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Not(Formula):
     body: Formula
 
@@ -60,14 +77,8 @@ class Not(Formula):
         except RecursionError:
             raise RecursionDepthExceeded("formula nested too deep to hash") from None
 
-    def __repr__(self):
-        try:
-            return f"Not(body={self.body!r})"
-        except RecursionError:
-            raise RecursionDepthExceeded("formula nested too deep to print") from None
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
@@ -78,14 +89,8 @@ class And(Formula):
         except RecursionError:
             raise RecursionDepthExceeded("formula nested too deep to hash") from None
 
-    def __repr__(self):
-        try:
-            return f"And(left={self.left!r}, right={self.right!r})"
-        except RecursionError:
-            raise RecursionDepthExceeded("formula nested too deep to print") from None
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
@@ -96,14 +101,8 @@ class Or(Formula):
         except RecursionError:
             raise RecursionDepthExceeded("formula nested too deep to hash") from None
 
-    def __repr__(self):
-        try:
-            return f"Or(left={self.left!r}, right={self.right!r})"
-        except RecursionError:
-            raise RecursionDepthExceeded("formula nested too deep to print") from None
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Diamond(Formula):
     body: Formula
 
@@ -113,14 +112,8 @@ class Diamond(Formula):
         except RecursionError:
             raise RecursionDepthExceeded("formula nested too deep to hash") from None
 
-    def __repr__(self):
-        try:
-            return f"Diamond(body={self.body!r})"
-        except RecursionError:
-            raise RecursionDepthExceeded("formula nested too deep to print") from None
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Box(Formula):
     body: Formula
 
@@ -129,12 +122,6 @@ class Box(Formula):
             return hash((6, self.body))
         except RecursionError:
             raise RecursionDepthExceeded("formula nested too deep to hash") from None
-
-    def __repr__(self):
-        try:
-            return f"Box(body={self.body!r})"
-        except RecursionError:
-            raise RecursionDepthExceeded("formula nested too deep to print") from None
 
 
 BOT = Bottom()
@@ -246,13 +233,14 @@ EMPTY = frozenset()  # the empty part of every clause, and the empty CNF
 _setattr = object.__setattr__  # sets a frozen field; one global lookup per call
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Clause:
     """A structured disjunction: literals, boxed clauses and diamonds of CNFs.
 
     The empty clause (all three parts empty) is bottom.  Construction does
     not normalize; use normalization.make_clause for that.  Every empty
-    part is stored as EMPTY, whatever empty set the caller passed.
+    part is stored as EMPTY, whatever empty set the caller passed.  == and
+    repr are guarded; the hash never recurses, as frozensets keep theirs.
     """
 
     literals: frozenset = EMPTY
@@ -264,6 +252,19 @@ class Clause:
         _setattr(self, "literals", literals or EMPTY)
         _setattr(self, "boxes", boxes or EMPTY)
         _setattr(self, "diamonds", diamonds or EMPTY)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not Clause:
+            return NotImplemented
+        try:
+            return (self.literals == other.literals and self.boxes == other.boxes
+                    and self.diamonds == other.diamonds)
+        except RecursionError:
+            raise RecursionDepthExceeded("clause nested too deep to compare") from None
+
+    __repr__ = _repr
 
     @property
     def is_bottom(self) -> bool:

@@ -31,6 +31,7 @@ REMOVED_PARAMETERS = (
     (kprime.gamma_resolvents, "max_depth"),
     (kprime.single_clause, "clause_budget"),
     (kprime.to_cnf, "clause_budget"),
+    (kprime.nnf, "negated"),
 )
 
 

@@ -72,6 +72,12 @@ def test_clause_space_over_the_cap_raises_before_building():
         prime_implicates_brute(make_cnf([cl("p")]), ("p", "q"), 2, 2)
 
 
+def test_width_zero_space_is_the_empty_clause_at_any_depth():
+    # no recursion down the depth: 900 levels would pass the stack
+    for depth in (0, 1, 900):
+        assert list(enumerate_clauses(("p",), depth, 0)) == [BOTTOM_CLAUSE]
+
+
 def test_enumeration_is_duplicate_free():
     keys = [clause_key(c) for c in enumerate_clauses(("p", "q"), 1, 2)]
     assert len(keys) == len(set(keys))

@@ -147,6 +147,14 @@ def test_oracle_over_the_clause_space_cap_exits_three(capsys):
     assert "100000" in err
 
 
+@pytest.mark.parametrize("depth", ["1", "5000"])
+def test_oracle_width_zero_at_any_depth(tmp_path, capsys, depth):
+    kb = tmp_path / "kb.k"
+    kb.write_text("p\n")
+    code, out, err = run_cli(capsys, "oracle", str(kb), "--vars", "p", "--depth", depth, "--width", "0")
+    assert (code, out, err) == (0, "[]\n", "")
+
+
 def test_formula_mode(tmp_path, capsys):
     kb = tmp_path / "g.k"
     kb.write_text("p & (q | r)  # one formula\n")

@@ -185,12 +185,6 @@ def test_warm_memo_searches_are_pinned():
     assert seen == [(10, 10), (22, 12), (27, 5), (42, 15)] + [(42, 0)] * 4
 
 
-def test_model_json_roundtrip(tableau):
-    verdict = tableau.satisfiable(parse("<>(p & q) & <>~p"))
-    m = verdict.model
-    assert KripkeModel.from_json(m.to_json()) == m
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         KripkeModel(frozenset([0]), frozenset(), {}, root=1)

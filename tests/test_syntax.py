@@ -25,9 +25,10 @@ from kprime import (
     simplify,
     subsumes,
     variables,
+    within_bounds,
 )
 from kprime.generators import random_clause, random_formula
-from kprime.syntax import Clause, Or, clause_key, formula_sort_key
+from kprime.syntax import BOTTOM_CLAUSE, Clause, Or, clause_key, formula_sort_key
 
 from conftest import cl
 
@@ -131,6 +132,9 @@ DEEP_INPUT_CALLS = {
     "nnf": lambda: nnf(_deep_formula()),
     "simplify": lambda: simplify(_deep_clause()),
     "subsumes": lambda: subsumes(_deep_clause(), _deep_clause()),
+    "within_bounds": lambda: within_bounds(_deep_clause(), ("p",), 6000, 1),
+    "eq_clause": lambda: _deep_clause() == _deep_clause(),
+    "repr_clause": lambda: repr(_deep_clause()),
 }
 
 
@@ -169,3 +173,32 @@ def test_hash_and_repr_follow_the_fields(rng):
     for _ in range(200):
         g = random_formula(rng, ("p", "q"), 2, rng.randint(1, 12))
         assert hash(parse(render(g))) == hash(g)
+
+
+def test_clause_repr_follows_the_fields():
+    one = frozenset
+    c = Clause(
+        one([Literal("p", False)]),
+        one([Clause(one([Literal("q")]))]),
+        one([one([Clause(diamonds=one([one([BOTTOM_CLAUSE])]))])]),
+    )
+    assert repr(c) == (
+        "Clause(literals=frozenset({Literal(variable='p', positive=False)}), "
+        "boxes=frozenset({Clause(literals=frozenset({Literal(variable='q', positive=True)}), "
+        "boxes=frozenset(), diamonds=frozenset())}), "
+        "diamonds=frozenset({frozenset({Clause(literals=frozenset(), boxes=frozenset(), "
+        "diamonds=frozenset({frozenset({Clause(literals=frozenset(), boxes=frozenset(), "
+        "diamonds=frozenset())})}))})}))"
+    )
+
+
+def test_repr_prints_a_formula_nested_below_the_stack():
+    deep = P
+    for _ in range(490):
+        deep = Box(deep)
+    assert repr(deep) == "Box(body=" * 490 + "Var(name='p')" + ")" * 490
+
+
+def test_clause_equality_is_by_value_and_type():
+    assert cl("p | []q") == cl("[]q | p") and cl("p") != cl("q")
+    assert Clause() == BOTTOM_CLAUSE and Clause() != BOT
