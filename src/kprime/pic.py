@@ -13,12 +13,14 @@ pipeline is deterministic for a given input.
 Clause-to-clause entailment rides on the tableau; an EntailmentOracle
 caches verdicts per clause pair, and only those, because the residue's
 witness pass repeats checks (distinct queries share no pair; a repeated
-KB-level question is answered by the tableau's memo).  The caller owns
-that cache and, through the oracle's Tableau(node_budget=N), the node
-budget of every check.  Every entry point takes an oracle; one called
-without builds a fresh oracle over a fresh Tableau for that call alone, so
-no verdict or budget outcome carries over between calls the caller did
-not tie together.
+KB-level question is answered by the tableau's memo).  Beside them it
+keeps, for as long as it lives, the formula of every clause and KB it has
+checked, so each is converted once however many checks it takes part in;
+that dict holds no verdict.  The caller owns both and, through the
+oracle's Tableau(node_budget=N), the node budget of every check.  Every
+entry point takes an oracle; one called without builds a fresh oracle
+over a fresh Tableau for that call alone, so no verdict or budget outcome
+carries over between calls the caller did not tie together.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .syntax import (
     EMPTY,
     Clause,
     Cnf,
+    Formula,
     clause_key,
     clause_length,
     clause_to_formula,
@@ -100,24 +103,38 @@ class EntailmentOracle:
 
     Without a tableau it builds its own; the pair cache lives as long as
     the oracle, and every check runs under that tableau's node budget.
+    Each clause, and each KB given to is_implicate, is converted to a
+    formula once per oracle: the conversions live as long as the pair
+    cache and hold no verdict.
     """
 
     def __init__(self, tableau: Tableau | None = None):
         self.tableau = tableau if tableau is not None else Tableau()
         self._pair_cache: dict = {}
+        self._formulas: dict = {}  # clause or KB -> its formula
+
+    def _formula(self, x, convert) -> Formula:
+        f = self._formulas.get(x)
+        if f is None:
+            f = self._formulas[x] = convert(x)
+        return f
 
     def clause_entails(self, d: Clause, c: Clause) -> bool:
         """True iff every pointed model of d satisfies c."""
         key = (d, c)  # clauses are equal exactly when their canonical keys are
         hit = self._pair_cache.get(key)
         if hit is None:
-            hit = self.tableau.entails(clause_to_formula(d), clause_to_formula(c))
+            hit = self.tableau.entails(
+                self._formula(d, clause_to_formula), self._formula(c, clause_to_formula)
+            )
             self._pair_cache[key] = hit
         return hit
 
     def is_implicate(self, u: Cnf, c: Clause) -> bool:
         """True iff the knowledge base entails the clause; the tableau's memo answers repeats."""
-        return self.tableau.entails(cnf_to_formula(u), clause_to_formula(c))
+        return self.tableau.entails(
+            self._formula(u, cnf_to_formula), self._formula(c, clause_to_formula)
+        )
 
 
 def clause_order(c: Clause):

@@ -20,6 +20,12 @@ where only one formula is left to choose from.
 A search that fails on the budget or the stack leaves the memo as it found
 it, so the same query repeats its error; memo hits cost no nodes, so a
 different query can still pass on a memo warmed by earlier ones.
+satisfiable and entails run the same search; only satisfiable turns an
+open branch into a model, and entails returns the bare verdict.  The
+memo is the only thing a Tableau keeps between searches, for as long as
+it lives; an EntailmentOracle over it adds its clause-pair verdicts and
+the formula of each clause and KB it has converted, for as long as the
+oracle lives.
 
 A bounded enumeration of labeled tree models (duplicate-free up to
 isomorphism) serves as an independent ground truth for the tableau on
@@ -155,6 +161,18 @@ def _tree_to_model(tree: _Tree, vocab) -> KripkeModel:
     )
 
 
+def _sat_result(tree: _Tree | None, f: Formula) -> SatResult:
+    if tree is None:
+        return SatResult(False)
+    model = _tree_to_model(tree, sorted(variables(f)))
+    return SatResult(True, model, model.root)
+
+
+def _closed(tree: _Tree | None) -> bool:
+    """Every branch closed: the searched formula is unsatisfiable."""
+    return tree is None
+
+
 class Tableau:
     """Satisfiability procedure for K with a cross-query result cache.
 
@@ -179,16 +197,29 @@ class Tableau:
         Raises TableauBudgetExceeded when the search expands more nodes than
         the budget, and RecursionDepthExceeded when f is nested deeper than
         the interpreter's stack allows; either way the memo is left as the
-        search found it.
+        search found it, also when building the model runs out of stack.
+        """
+        return self._search(f, lambda tree: _sat_result(tree, f))
+
+    def entails(self, f: Formula, g: Formula) -> bool:
+        """Local consequence: every pointed model of f satisfies g.
+
+        The same search as satisfiable(And(f, Not(g))), with its errors,
+        but it builds no model: only the verdict is returned.
+        """
+        return self._search(And(f, Not(g)), _closed)
+
+    def _search(self, f: Formula, verdict):
+        """verdict(tree) of one search from f; tree is None when f is unsatisfiable.
+
+        verdict runs inside the search, so a budget or depth error it raises
+        rolls the memo back like one from the search itself.
         """
         memo_size = len(self._memo)
         self._nodes = 0
         root = nnf(f)  # keeps every formula the search orders, and so its id, alive
         try:
-            tree = self._solve((root,))
-            if tree is None:
-                return SatResult(False)
-            model = _tree_to_model(tree, sorted(variables(f)))
+            return verdict(self._solve((root,)))
         except (TableauBudgetExceeded, RecursionDepthExceeded, RecursionError) as e:
             # dicts pop last-in first: this drops exactly the entries this call added
             while len(self._memo) > memo_size:
@@ -199,11 +230,6 @@ class Tableau:
             raise RecursionDepthExceeded("formula nested too deep to decide") from None
         finally:
             self._sort_keys.clear()
-        return SatResult(True, model, model.root)
-
-    def entails(self, f: Formula, g: Formula) -> bool:
-        """Local consequence: every pointed model of f satisfies g."""
-        return not self.satisfiable(And(f, Not(g))).satisfiable
 
     def _sort_key(self, f: Formula):
         key = self._sort_keys.get(id(f))

@@ -43,6 +43,26 @@ def _repr(self) -> str:
 # Formulas
 
 
+def _eq_unary(self, other):
+    # the generated dataclass __eq__, guarded: tuples compare members by
+    # identity first, so shared subformulas are not walked
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    try:
+        return (self.body,) == (other.body,)
+    except RecursionError:
+        raise RecursionDepthExceeded("formula nested too deep to compare") from None
+
+
+def _eq_binary(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    try:
+        return (self.left, self.right) == (other.left, other.right)
+    except RecursionError:
+        raise RecursionDepthExceeded("formula nested too deep to compare") from None
+
+
 class Formula:
     """Base class for modal formula nodes; all print through _repr.
 
@@ -50,7 +70,7 @@ class Formula:
     every shared form measured slower), which raises RecursionDepthExceeded
     on a formula nested deeper than the stack and starts with the node's
     formula_sort_key tag, so that ~p, <>p and []p (or p & q and p | q) do
-    not collide.
+    not collide.  Their == is _eq_unary or _eq_binary, guarded the same way.
     """
 
     __slots__ = ()
@@ -71,6 +91,8 @@ class Bottom(Formula):
 class Not(Formula):
     body: Formula
 
+    __eq__ = _eq_unary
+
     def __hash__(self):
         try:
             return hash((2, self.body))
@@ -82,6 +104,8 @@ class Not(Formula):
 class And(Formula):
     left: Formula
     right: Formula
+
+    __eq__ = _eq_binary
 
     def __hash__(self):
         try:
@@ -95,6 +119,8 @@ class Or(Formula):
     left: Formula
     right: Formula
 
+    __eq__ = _eq_binary
+
     def __hash__(self):
         try:
             return hash((4, self.left, self.right))
@@ -106,6 +132,8 @@ class Or(Formula):
 class Diamond(Formula):
     body: Formula
 
+    __eq__ = _eq_unary
+
     def __hash__(self):
         try:
             return hash((5, self.body))
@@ -116,6 +144,8 @@ class Diamond(Formula):
 @dataclass(frozen=True, slots=True, repr=False)
 class Box(Formula):
     body: Formula
+
+    __eq__ = _eq_unary
 
     def __hash__(self):
         try:

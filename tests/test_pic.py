@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -18,11 +19,19 @@ from kprime import (
     prime_implicates,
     residue_detailed,
 )
+from kprime import pic
 from kprime.brute import prime_implicates_brute
 from kprime.generators import random_clause, random_kb
-from kprime.pic import subsumes, subsumption_reduce
+from kprime.pic import clause_order, subsumes, subsumption_reduce
 from kprime.selftest import example_expected, example_kb
-from kprime.syntax import clause_key, clause_length, cnf_key, sorted_clauses
+from kprime.syntax import (
+    clause_key,
+    clause_length,
+    clause_to_formula,
+    cnf_key,
+    cnf_to_formula,
+    sorted_clauses,
+)
 
 from conftest import cl
 
@@ -195,6 +204,43 @@ def test_repeated_is_implicate_is_answered_by_the_memo(oracle, text, entailed):
     memo_size = len(oracle.tableau._memo)
     assert oracle.is_implicate(kb, c) is entailed
     assert len(oracle.tableau._memo) == memo_size
+
+
+def test_oracle_converts_each_clause_and_kb_once(monkeypatch):
+    converted = Counter()
+
+    def counted(convert):
+        def wrapper(x):
+            converted[x] += 1
+            return convert(x)
+
+        return wrapper
+
+    monkeypatch.setattr(pic, "clause_to_formula", counted(pic.clause_to_formula))
+    monkeypatch.setattr(pic, "cnf_to_formula", counted(pic.cnf_to_formula))
+    kb = example_kb()
+    clauses = [cl(t) for t in ("p", "p | q", "[]p", "<>p", "[](p | q)", "r | <>(p & q)")]
+    oracle = EntailmentOracle()
+    for _ in range(2):
+        pairs = [oracle.clause_entails(d, c) for d in clauses for c in clauses]
+        implicates = [oracle.is_implicate(kb, c) for c in clauses]
+        assert oracle.is_implicate(kb, cl("[][](~p | r)"))
+    assert converted == Counter(clauses + [kb, cl("[][](~p | r)")])
+    # the verdicts of a direct check on a fresh tableau
+    tableau = Tableau()
+    assert pairs == [tableau.entails(clause_to_formula(d), clause_to_formula(c))
+                     for d in clauses for c in clauses]
+    assert implicates == [tableau.entails(cnf_to_formula(kb), clause_to_formula(c))
+                          for c in clauses]
+
+
+def test_brute_prime_implicates_of_two_overlapping_boxes():
+    # the KB of the covering gap: the reference finds the prime implicate
+    # []p | <>(q & r) that no compiled clause covers
+    kb = make_cnf([cl("[](p | q)"), cl("[](p | r)")])
+    pi = prime_implicates_brute(kb, ("p", "q", "r"), 1, 2)
+    assert [str(c) for c in sorted(pi, key=clause_order)] == [
+        "[](p | q)", "[](p | r)", "([]p | <>(q & r))"]
 
 
 def test_fixpoint_stability():

@@ -15,6 +15,7 @@ from kprime import (
     parse,
     variables,
 )
+from kprime import semantics
 from kprime.generators import random_formula
 from kprime.semantics import diamond_subformulas
 from kprime.syntax import modal_depth
@@ -69,11 +70,50 @@ def test_local_entails_examples(tableau):
     assert not tableau.entails(parse("<>p"), parse("[]p"))
 
 
-def test_local_entails_matches_satisfiability(rng, tableau):
-    for _ in range(100):
-        a = random_formula(rng, ("p", "q"), 1, rng.randint(1, 8))
-        b = random_formula(rng, ("p", "q"), 1, rng.randint(1, 8))
-        assert tableau.entails(a, b) == (not tableau.satisfiable(And(a, Not(b))).satisfiable)
+def test_local_entails_matches_satisfiability(rng):
+    # the same search from the same memo: same verdict, same memo, same nodes
+    by_entails, by_satisfiable = Tableau(), Tableau()
+    for _ in range(150):
+        a = random_formula(rng, ("p", "q"), rng.randint(0, 2), rng.randint(1, 8))
+        b = random_formula(rng, ("p", "q"), rng.randint(0, 2), rng.randint(1, 8))
+        verdict = by_entails.entails(a, b)
+        assert verdict == (not by_satisfiable.satisfiable(And(a, Not(b))).satisfiable)
+        assert (len(by_entails._memo), by_entails._nodes) == (
+            len(by_satisfiable._memo), by_satisfiable._nodes)
+
+
+def test_entails_builds_no_model(monkeypatch, tableau):
+    def no_model(*args):
+        raise AssertionError("entails built a model")
+
+    monkeypatch.setattr(semantics, "_tree_to_model", no_model)
+    assert not tableau.entails(parse("<>p"), parse("[]p"))
+    assert tableau.entails(parse("[](p & q)"), parse("[]p"))
+
+
+def test_entails_budget_error_rolls_back_and_repeats():
+    tableau = Tableau(node_budget=12)
+    tableau.satisfiable(parse("<>p & []q"))  # a warm memo to roll back to
+    memo = dict(tableau._memo)
+    a = parse("(p1 | q1) & (p2 | q2) & (p3 | q3) & (p4 | q4)")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(TableauBudgetExceeded) as exc:
+            tableau.entails(a, parse("p1 & p2 & p3 & p4"))
+        errors.append((str(exc.value), exc.value.reached, exc.value.limit))
+        assert tableau._memo == memo
+    assert errors[0] == errors[1] == (
+        "tableau search expanded 13 nodes, over the budget of 12", 13, 12)
+
+
+def test_model_too_deep_to_build_rolls_back_the_memo(monkeypatch, tableau):
+    def too_deep(*args):
+        raise RecursionError
+
+    monkeypatch.setattr(semantics, "_tree_to_model", too_deep)
+    with pytest.raises(RecursionDepthExceeded):
+        tableau.satisfiable(parse("<>p & []q"))
+    assert tableau._memo == {}
 
 
 def test_enumeration_counts():
@@ -147,6 +187,8 @@ def test_deep_nesting_is_a_budget_error(tableau):
         deep = Box(deep)
     with pytest.raises(RecursionDepthExceeded):
         tableau.satisfiable(deep)
+    with pytest.raises(RecursionDepthExceeded):
+        tableau.entails(deep, Var("p"))
 
 
 # (formula, satisfiable, memo entries and nodes of a cold search, model as

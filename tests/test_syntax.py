@@ -28,7 +28,7 @@ from kprime import (
     within_bounds,
 )
 from kprime.generators import random_clause, random_formula
-from kprime.syntax import BOTTOM_CLAUSE, Clause, Or, clause_key, formula_sort_key
+from kprime.syntax import BOTTOM_CLAUSE, TOP, Bottom, Clause, Or, clause_key, formula_sort_key
 
 from conftest import cl
 
@@ -162,6 +162,30 @@ def test_deep_hash_and_repr_are_budget_errors(connective, call):
         deep = DEEP_CONNECTIVES[connective](deep)
     with pytest.raises(RecursionDepthExceeded):
         call(deep)
+
+
+@pytest.mark.parametrize("connective", sorted(DEEP_CONNECTIVES))
+def test_deep_equality_is_a_budget_error(connective):
+    # two distinct but equal chains: == has to walk them both to the bottom
+    chains = []
+    for _ in range(2):
+        deep = P
+        for _ in range(5000):
+            deep = DEEP_CONNECTIVES[connective](deep)
+        chains.append(deep)
+    with pytest.raises(RecursionDepthExceeded):
+        chains[0] == chains[1]
+
+
+def test_equality_follows_the_value(rng):
+    assert Box(P) == Box(Var("p")) and Box(P) != Diamond(P) and Box(P) != Box(Var("q"))
+    assert And(P, BOT) == And(Var("p"), Bottom()) and And(P, BOT) != Or(P, BOT)
+    assert Not(Not(P)) != P and Not(BOT) == TOP
+    for _ in range(200):
+        g = random_formula(rng, ("p", "q"), 2, rng.randint(1, 12))
+        h = random_formula(rng, ("p", "q"), 2, rng.randint(1, 12))
+        assert parse(render(g)) == g
+        assert (g == h) == (render(g) == render(h))
 
 
 def test_hash_and_repr_follow_the_fields(rng):
