@@ -8,7 +8,10 @@ antichain routine serves both reductions, parametrised by the dominance
 relation (structural subsumption inside the loop, entailment for the
 residue); it keeps, from each equivalence class of the strongest clauses,
 the representative with the smallest (length, key) pair, so the whole
-pipeline is deterministic for a given input.
+pipeline is deterministic for a given input.  Within one compile, equal
+clauses are one object: the stages share a dict of every clause met so
+far, a resolvent equal to one of them is replaced by it, and a new one
+reuses the equal literal, box and diamond parts the dict holds.
 
 Clause-to-clause entailment rides on the tableau; an EntailmentOracle
 caches verdicts per clause pair, and only those, because the residue's
@@ -153,20 +156,34 @@ def _antichain(clauses, dominates):
     later equivalent), any other evicts the members it dominates and
     joins.  dominates must be transitive, so that every visited clause
     stays dominated by some front member and one pass suffices.
+
+    The front member that drops a clause is its witness if it is kept: the
+    front keeps visiting order, so every kept clause before it was in the
+    front then and failed the check.  Only a clause that was evicted, or
+    whose first witness was, scans the kept clauses again.
     """
     items = sorted(set(clauses), key=clause_order)
     front: list = []
+    witness = {}  # dropped clause -> the front member that dropped it
     for c in items:
-        if any(dominates(m, c) for m in front):
-            continue
-        front = [m for m in front if not dominates(c, m)]
-        front.append(c)
+        for m in front:
+            if dominates(m, c):
+                witness[c] = m
+                break
+        else:
+            front = [m for m in front if not dominates(c, m)]
+            front.append(c)
     kept = tuple(front)  # appended in visiting order, so already sorted
     kept_set = set(kept)
-    dropped = tuple(
-        (c, next(m for m in kept if dominates(m, c))) for c in items if c not in kept_set
-    )
-    return kept, dropped
+    dropped = []
+    for c in items:
+        if c in kept_set:
+            continue
+        w = witness.get(c)
+        if w not in kept_set:
+            w = next(m for m in kept if dominates(m, c))
+        dropped.append((c, w))
+    return kept, tuple(dropped)
 
 
 def residue_detailed(clauses, oracle: EntailmentOracle | None = None):
@@ -238,14 +255,17 @@ def prime_implicates(
     entailment-based residue runs once, on the fixpoint, to minimize the
     answer; its removals appear as a final trace record.  With trace, the
     result's steps hold the ranked resolution derivations of every stage;
-    without it they are ().  Without an oracle, a fresh one serves this
-    call, so the same input and config always give the same verdict.
+    without it they are () and no derivation is built.  Equal clauses in
+    the input, the trace records and the result are one object.  Without
+    an oracle, a fresh one serves this call, so the same input and config
+    always give the same verdict.
     """
     config = config or PicConfig()
     oracle = oracle or EntailmentOracle()
     current = simplify_cnf(u)
     if not current:
         return PicResult(EMPTY, 0, (), True)
+    seen = {c: c for c in current}  # one object per distinct clause of this call
 
     records = []
     steps = []
@@ -258,6 +278,7 @@ def prime_implicates(
                 current,
                 clause_budget=config.clause_budget,
                 trace=trace,
+                seen=seen,
             )
             kept, dropped = subsumption_reduce(closure)
             if trace:

@@ -8,9 +8,12 @@ member of the diamond's clause set, which keeps its premises and gains the
 resolvent.  Single-premise resolvents act inside one clause: a resolvable
 pair within a diamond's set grows that set, a member's own resolvent grows
 it likewise, and boxes recurse.  Every conclusion is returned in normal
-form with a witness derivation tree; premises are normal, so conclusions
-and the unit clauses naming each active part are assembled with the
-normalization constructors and never re-simplified.
+form; premises are normal, so conclusions are assembled with the
+normalization constructors and never re-simplified.  Each rule routine
+takes a trace flag: traced, it yields a witness derivation tree per
+conclusion, with unit clauses naming each active part; untraced, the bare
+conclusion, and it builds no derivation and no premise unit clause.  The
+two modes make the same conclusions in the same order.
 
 Two extra rules back the covering guarantee.  A box body is absorbed into
 every diamond of the partner premise outright (every successor satisfies
@@ -28,9 +31,10 @@ across steps is the compiler's job, not this module's.  One routine,
 closure_step_traced, computes it with or without a trace.  The rules yield
 conclusions one at a time, and the closure checks its clause budget per
 distinct conclusion, so a capped layer stops one clause past the cap.
-Derivations are kept and ranked only when a trace is asked for.  The
-resolvent search depth cap is the constant DEFAULT_MAX_DEPTH; the clause
-budget is the caller's (PicConfig.clause_budget when the compiler calls).
+Derivations are built, kept and ranked only when a trace is asked for.
+The resolvent search depth cap is the constant DEFAULT_MAX_DEPTH; the
+clause budget is the caller's (PicConfig.clause_budget when the compiler
+calls).
 """
 
 from __future__ import annotations
@@ -76,40 +80,47 @@ class ResolutionStep:
         }
 
 
-def _wrap(rule: str, premises: tuple, core: ResolutionStep, *rems: Clause) -> ResolutionStep:
-    """Thread the untouched disjuncts of the premises around a core resolvent."""
+def _wrap(trace: bool, rule: str, premises: tuple, core, *rems: Clause):
+    """Thread the untouched disjuncts of the premises around a core resolvent.
+
+    core is a derivation when traced and its bare conclusion when not; the
+    result is of the same kind.
+    """
     for rem in rems:
         if not rem.is_bottom:
-            conclusion = disjoin(*rems, core.conclusion)
-            return ResolutionStep(rule, premises, conclusion, (core,))
+            if not trace:
+                return disjoin(*rems, core)
+            return ResolutionStep(rule, premises, disjoin(*rems, core.conclusion), (core,))
     return core
 
 
-def _sigma(a: Clause, b: Clause, depth: int):
+def _sigma(a: Clause, b: Clause, depth: int, trace: bool):
     if depth < 0:
         raise RecursionDepthExceeded(_TOO_DEEP)
     if a.is_bottom or b.is_bottom:
         # a bottom premise resolves the pair away entirely
-        yield ResolutionStep("A1'", (a, b), BOTTOM_CLAUSE)
+        yield ResolutionStep("A1'", (a, b), BOTTOM_CLAUSE) if trace else BOTTOM_CLAUSE
         return
 
     for lit in sorted(a.literals, key=literal_sort_key):
         comp = lit.negate()
         if comp not in b.literals:
             continue
-        core = ResolutionStep("A1", (literal(lit), literal(comp)), BOTTOM_CLAUSE)
+        core = (ResolutionStep("A1", (literal(lit), literal(comp)), BOTTOM_CLAUSE)
+                if trace else BOTTOM_CLAUSE)
         rem_a = Clause(a.literals - {lit}, a.boxes, a.diamonds)
         rem_b = Clause(b.literals - {comp}, b.boxes, b.diamonds)
-        yield _wrap("sigma-or", (a, b), core, rem_a, rem_b)
+        yield _wrap(trace, "sigma-or", (a, b), core, rem_a, rem_b)
 
     for da in sorted_clauses(a.boxes):
         for db in sorted_clauses(b.boxes):
-            for inner in _sigma(da, db, depth - 1):
-                conclusion = box(inner.conclusion)
-                core = ResolutionStep("sigma-boxbox", (box(da), box(db)), conclusion, (inner,))
+            for inner in _sigma(da, db, depth - 1, trace):
+                conclusion = box(inner.conclusion if trace else inner)
+                core = (ResolutionStep("sigma-boxbox", (box(da), box(db)), conclusion, (inner,))
+                        if trace else conclusion)
                 rem_a = Clause(a.literals, a.boxes - {da}, a.diamonds)
                 rem_b = Clause(b.literals, b.boxes - {db}, b.diamonds)
-                yield _wrap("sigma-or", (a, b), core, rem_a, rem_b)
+                yield _wrap(trace, "sigma-or", (a, b), core, rem_a, rem_b)
 
     for x, y in ((a, b), (b, a)):
         if not y.diamonds:
@@ -123,23 +134,23 @@ def _sigma(a: Clause, b: Clause, depth: int):
                 # reach these conclusions, and absorbing one diamond at a
                 # time can stall on intermediates the residue removes.
                 conclusion = disjoin(*(diamond(conjoin(s, (d,))) for s in y.diamonds))
-                core = ResolutionStep(
-                    "sigma-absorb", (box(d), Clause(diamonds=y.diamonds)), conclusion
-                )
+                core = (ResolutionStep("sigma-absorb", (box(d), Clause(diamonds=y.diamonds)),
+                                       conclusion)
+                        if trace else conclusion)
                 rem_y = Clause(y.literals, y.boxes)
-                yield _wrap("sigma-or", (a, b), core, rem_x, rem_y)
+                yield _wrap(trace, "sigma-or", (a, b), core, rem_x, rem_y)
             for s in sorted(y.diamonds, key=cnf_key):
                 rem_y = Clause(y.literals, y.boxes, y.diamonds - {s})
                 for e in sorted_clauses(s):
-                    for inner in _sigma(d, e, depth - 1):
-                        conclusion = diamond(conjoin(s, (inner.conclusion,)))
-                        core = ResolutionStep(
-                            "sigma-boxdiamond", (box(d), diamond(s)), conclusion, (inner,)
-                        )
-                        yield _wrap("sigma-or", (a, b), core, rem_x, rem_y)
+                    for inner in _sigma(d, e, depth - 1, trace):
+                        conclusion = diamond(conjoin(s, (inner.conclusion if trace else inner,)))
+                        core = (ResolutionStep("sigma-boxdiamond", (box(d), diamond(s)),
+                                               conclusion, (inner,))
+                                if trace else conclusion)
+                        yield _wrap(trace, "sigma-or", (a, b), core, rem_x, rem_y)
 
 
-def _gamma(a: Clause, depth: int):
+def _gamma(a: Clause, depth: int, trace: bool):
     if depth < 0:
         raise RecursionDepthExceeded(_TOO_DEEP)
 
@@ -150,27 +161,30 @@ def _gamma(a: Clause, depth: int):
         # pack with other box bodies; without it, diamond-free premises
         # cover none of their box-or-diamond consequences.
         dichotomy = disjoin(box(BOTTOM_CLAUSE), diamond(frozenset((d,))))
-        core = ResolutionStep("gamma-dichotomy", (box(d),), dichotomy)
-        yield _wrap("gamma-or", (a,), core, rem)
-        for inner in _gamma(d, depth - 1):
-            conclusion = box(inner.conclusion)
-            core = ResolutionStep("gamma-box", (box(d),), conclusion, (inner,))
-            yield _wrap("gamma-or", (a,), core, rem)
+        core = ResolutionStep("gamma-dichotomy", (box(d),), dichotomy) if trace else dichotomy
+        yield _wrap(trace, "gamma-or", (a,), core, rem)
+        for inner in _gamma(d, depth - 1, trace):
+            conclusion = box(inner.conclusion if trace else inner)
+            core = (ResolutionStep("gamma-box", (box(d),), conclusion, (inner,))
+                    if trace else conclusion)
+            yield _wrap(trace, "gamma-or", (a,), core, rem)
 
     for s in sorted(a.diamonds, key=cnf_key):
         rem = Clause(a.literals, a.boxes, a.diamonds - {s})
         members = sorted_clauses(s)
         for i, e1 in enumerate(members):
             for e2 in members[i + 1 :]:
-                for inner in _sigma(e1, e2, depth - 1):
-                    conclusion = diamond(conjoin(s, (inner.conclusion,)))
-                    core = ResolutionStep("gamma-diamond1", (diamond(s),), conclusion, (inner,))
-                    yield _wrap("gamma-or", (a,), core, rem)
+                for inner in _sigma(e1, e2, depth - 1, trace):
+                    conclusion = diamond(conjoin(s, (inner.conclusion if trace else inner,)))
+                    core = (ResolutionStep("gamma-diamond1", (diamond(s),), conclusion, (inner,))
+                            if trace else conclusion)
+                    yield _wrap(trace, "gamma-or", (a,), core, rem)
         for e in members:
-            for inner in _gamma(e, depth - 1):
-                conclusion = diamond(conjoin(s, (inner.conclusion,)))
-                core = ResolutionStep("gamma-diamond2", (diamond(s),), conclusion, (inner,))
-                yield _wrap("gamma-or", (a,), core, rem)
+            for inner in _gamma(e, depth - 1, trace):
+                conclusion = diamond(conjoin(s, (inner.conclusion if trace else inner,)))
+                core = (ResolutionStep("gamma-diamond2", (diamond(s),), conclusion, (inner,))
+                        if trace else conclusion)
+                yield _wrap(trace, "gamma-or", (a,), core, rem)
 
 
 def _step_signature(step: ResolutionStep):
@@ -193,52 +207,83 @@ def _dedup(steps) -> tuple:
     return tuple(best[key][1] for key in sorted(best))
 
 
+def _share(c: Clause, seen: dict) -> Clause:
+    """The one object seen holds for c's value.
+
+    The first time, that is c, with each part swapped for an equal part
+    seen already holds; the clause and its parts then join seen.
+    """
+    hit = seen.get(c)
+    if hit is not None:
+        return hit
+    lits, boxes, dias = c.literals, c.boxes, c.diamonds
+    if lits:
+        lits = seen.setdefault(lits, lits)
+    if boxes:
+        boxes = seen.setdefault(boxes, boxes)
+    if dias:
+        dias = seen.setdefault(dias, dias)
+    if lits is not c.literals or boxes is not c.boxes or dias is not c.diamonds:
+        c = Clause(lits, boxes, dias)
+    seen[c] = c
+    return c
+
+
 def sigma_resolvents(a: Clause, b: Clause) -> tuple:
     """All resolvents of a clause pair, one derivation per conclusion."""
-    return _dedup(_sigma(a, b, DEFAULT_MAX_DEPTH))
+    return _dedup(_sigma(a, b, DEFAULT_MAX_DEPTH, True))
 
 
 def gamma_resolvents(a: Clause) -> tuple:
     """All single-premise resolvents of a clause, one derivation per conclusion."""
-    return _dedup(_gamma(a, DEFAULT_MAX_DEPTH))
+    return _dedup(_gamma(a, DEFAULT_MAX_DEPTH, True))
 
 
-def _layer(base):
-    """Every derivation of one closure layer, pairs first, in clause-key order."""
+def _layer(base, trace: bool):
+    """Every result of one closure layer, pairs first, in clause-key order."""
     for i, a in enumerate(base):
         for b in base[i:]:
-            yield from _sigma(a, b, DEFAULT_MAX_DEPTH)
-        yield from _gamma(a, DEFAULT_MAX_DEPTH)
+            yield from _sigma(a, b, DEFAULT_MAX_DEPTH, trace)
+        yield from _gamma(a, DEFAULT_MAX_DEPTH, trace)
 
 
-def closure_step_traced(clauses, clause_budget: int | None = None, trace: bool = False):
+def closure_step_traced(
+    clauses, clause_budget: int | None = None, trace: bool = False, seen: dict | None = None
+):
     """One closure layer: the set plus every one-step resolvent.
 
-    Returns (clause set, steps for conclusions not already in the input),
-    one step per new conclusion.  Pairs are visited in clause-key order and
-    each conclusion joins the set as the rules produce it, so the clause
-    budget fires as soon as the set holds clause_budget + 1 clauses, before
-    the rest of the layer is built.  With trace, every derivation of a new
-    conclusion is kept and the smallest is returned, ordered by conclusion
-    key; without it, the first derivation found stands and none is ranked.
+    Returns (clause set, what is new): one entry per conclusion not already
+    in the input.  With trace the entries are derivations: every derivation
+    of a new conclusion is kept and the smallest is returned, ordered by
+    conclusion key.  Without it they are the new conclusions themselves, in
+    the order found, and no derivation is built.  Pairs are visited in
+    clause-key order and each conclusion joins the set as the rules produce
+    it, so the clause budget fires as soon as the set holds clause_budget + 1
+    clauses, before the rest of the layer is built.  seen, when given, maps
+    the clauses the caller has met, and their literal, box and diamond
+    parts, to the one object that stands for each value: a new conclusion
+    joins the set as that object, built from those parts the first time,
+    and then joins seen.
     """
     base = sorted_clauses(set(clauses))
     out = set(base)
-    steps = []  # with trace every derivation, without it the first per conclusion
-    for step in _layer(base):
-        if step.conclusion not in out:
-            out.add(step.conclusion)
+    found = []  # with trace every derivation, without it each new conclusion
+    for result in _layer(base, trace):
+        conclusion = result.conclusion if trace else result
+        if conclusion not in out:
+            if seen is not None:
+                conclusion = _share(conclusion, seen)
+            out.add(conclusion)
             if clause_budget is not None and len(out) > clause_budget:
                 raise ClauseBudgetExceeded(
                     f"closure grew to {len(out)} clauses, over the budget of {clause_budget}",
                     reached=len(out),
                     limit=clause_budget,
                 )
-        elif not trace:
-            continue
-        steps.append(step)
+            found.append(result if trace else conclusion)
+        elif trace:
+            found.append(result)
     if trace:
         new = out.difference(base)
-        return frozenset(out), _dedup(s for s in steps if s.conclusion in new)
-    return frozenset(out), tuple(steps)
-
+        return frozenset(out), _dedup(s for s in found if s.conclusion in new)
+    return frozenset(out), tuple(found)

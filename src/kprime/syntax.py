@@ -319,10 +319,11 @@ def literal_sort_key(lit: Literal):
     return (lit.variable, not lit.positive)
 
 
-# Entries each key cache keeps, newest used first.  One compile reuses its
-# own keys (at most about 100 on the benchmark's compile mix); across
-# compiles a key is rarely asked for again, so a bound loses no useful hit
-# and the caches no longer keep every clause they ever keyed alive.
+# Entries each key cache (and the length cache) keeps, newest used first.
+# One compile reuses its own keys (at most about 100 on the benchmark's
+# compile mix); across compiles a key is rarely asked for again, so a bound
+# loses no useful hit and the caches no longer keep every clause they ever
+# keyed alive.
 KEY_CACHE_SIZE = 1024
 
 
@@ -348,8 +349,12 @@ def cnf_key(s: Cnf):
     return tuple(sorted(clause_key(c) for c in s))
 
 
+@lru_cache(maxsize=KEY_CACHE_SIZE)
 def clause_length(c: Clause) -> int:
-    """Length of the clause read as a formula (bottom counts one symbol)."""
+    """Length of the clause read as a formula (bottom counts one symbol).
+
+    Cached like clause_key, as every sort by clause_order asks for it.
+    """
     if c.is_bottom:
         return 1
     try:

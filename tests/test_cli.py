@@ -137,6 +137,22 @@ def test_oracle_output_is_unchanged(capsys):
 # sha256 of `oracle example.k --vars p,q --depth 1 --width 2` stdout
 ORACLE_EXAMPLE_SHA256 = "3fffda67ea6a2ce6f9810982fc36f4870c7e71f981aa4eb1c790bd15f38013fe"
 
+# sha256 of `compile example.k` stdout with these flags, under any hash seed
+COMPILE_EXAMPLE_SHA256 = {
+    "--json --trace": "f77eb55fd01b536fba8497b6f9faedf1d642537c15d5f3ece0198a31fc2cae2d",
+    "--json": "7f3824179d3a5f0f1d8def104c21ac1e66b30fe180b6761608e10c2fb35f2956",
+}
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "77"])
+@pytest.mark.parametrize("flags", sorted(COMPILE_EXAMPLE_SHA256))
+def test_compile_output_is_unchanged(flags, hash_seed):
+    cmd = [sys.executable, "-m", "kprime", "compile", str(EXAMPLE), *flags.split()]
+    proc = subprocess.run(cmd, capture_output=True, timeout=120,
+                          env={**os.environ, "PYTHONHASHSEED": hash_seed})
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == COMPILE_EXAMPLE_SHA256[flags]
+
 
 def test_oracle_over_the_clause_space_cap_exits_three(capsys):
     start = time.perf_counter()

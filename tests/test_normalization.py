@@ -11,7 +11,7 @@ from kprime import (
 )
 from kprime.generators import random_clause, random_raw_clause
 from kprime.selftest import _raw_apply, _raw_redexes, raw_exhaust, raw_to_clause
-from kprime.syntax import Clause, clause_key
+from kprime.syntax import EMPTY, Clause, clause_key
 
 from conftest import cl
 
@@ -60,6 +60,35 @@ def test_randomized_rule_order_confluence(rng):
             assert not _raw_redexes(exhausted)
             out = raw_to_clause(exhausted)
             assert out == simplify(out) == base
+
+
+def test_normal_input_comes_back_as_it_is(rng):
+    for _ in range(300):
+        raw = random_raw_clause(rng, ("p", "q"), depth=rng.randint(0, 2), width=2)
+        nf = simplify(raw_to_clause(raw))
+        assert simplify(nf) is nf
+        s = make_cnf([nf, random_clause(rng, ("p", "q"), 1, 2)])
+        assert simplify_cnf(s) is s
+    assert simplify_cnf(frozenset()) is EMPTY
+
+
+def test_a_rule_that_fires_gives_a_new_object():
+    normal = cl("q")
+    bot_disjunct = Clause(
+        literals=frozenset([Literal("p")]),
+        diamonds=frozenset([frozenset([BOTTOM_CLAUSE])]),
+    )
+    out = simplify(bot_disjunct)
+    assert out == cl("p") and out is not bot_disjunct
+    # one level down: the box part is rebuilt, its normal member kept as it is
+    nested = Clause(boxes=frozenset([bot_disjunct, normal]))
+    out = simplify(nested)
+    assert out == cl("[]p | []q") and normal in out.boxes
+    assert any(b is normal for b in out.boxes)
+    s = frozenset([normal, BOTTOM_CLAUSE])
+    assert simplify_cnf(s) == frozenset([BOTTOM_CLAUSE]) and simplify_cnf(s) is not s
+    # a list is no clause set: the result is one
+    assert simplify_cnf([normal]) == frozenset([normal])
 
 
 def _raw_size(node):

@@ -19,7 +19,7 @@ from kprime import (
     prime_implicates,
     residue_detailed,
 )
-from kprime import pic
+from kprime import pic, resolution
 from kprime.brute import prime_implicates_brute
 from kprime.generators import random_clause, random_kb
 from kprime.pic import clause_order, subsumes, subsumption_reduce
@@ -291,12 +291,13 @@ def _compile_outcome(kb, config, trace=False, oracle=None):
 
 def _closure_outcome(kb, budget, trace):
     try:
-        closure, steps = closure_step_traced(kb, clause_budget=budget, trace=trace)
+        closure, found = closure_step_traced(kb, clause_budget=budget, trace=trace)
     except ClauseBudgetExceeded as e:
         return str(e)
-    fresh = {s.conclusion for s in steps}
-    assert len(fresh) == len(steps) and fresh == closure - kb
-    return closure, fresh
+    # traced: one derivation per new conclusion; untraced: the conclusions
+    fresh = [s.conclusion for s in found] if trace else list(found)
+    assert len(set(fresh)) == len(fresh) and set(fresh) == closure - kb
+    return closure, set(fresh), len(found)
 
 
 def test_untraced_compile_matches_traced(rng):
@@ -318,6 +319,113 @@ def test_untraced_compile_matches_traced(rng):
             capped += 1
             assert plain == traced
     assert capped  # the mix reaches the cap
+
+
+def _compile_mix_kbs(rng, count):
+    """KBs drawn like the benchmark's compile mix."""
+    return [
+        random_kb(rng, ("p", "q", "r")[: rng.randint(1, 3)], clauses=rng.randint(1, 4),
+                  depth=rng.randint(0, 2), width=rng.randint(1, 4))
+        for _ in range(count)
+    ]
+
+
+def test_untraced_closure_and_compile_build_no_derivation(monkeypatch, rng):
+    built = []
+    original = resolution.ResolutionStep
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(resolution, "ResolutionStep", counted)
+    config = PicConfig(max_iterations=8, clause_budget=30)
+    kbs = _compile_mix_kbs(rng, 40)
+    for kb in kbs:
+        _closure_outcome(kb, 30, trace=False)
+        _compile_outcome(kb, config)
+    assert built == []
+    for kb in kbs:
+        _closure_outcome(kb, 30, trace=True)
+    assert built  # the count does see derivations when they are asked for
+
+
+def _reference_antichain(clauses, dominates):
+    """_antichain with a second pass that scans the kept clauses for every drop.
+
+    Also returns how many dropped clauses lost the front member that first
+    dominated them to a later eviction, and how many did not.
+    """
+    items = sorted(set(clauses), key=clause_order)
+    front = []
+    first = {}
+    for c in items:
+        w = next((m for m in front if dominates(m, c)), None)
+        if w is not None:
+            first[c] = w
+            continue
+        front = [m for m in front if not dominates(c, m)]
+        front.append(c)
+    kept = tuple(front)
+    dropped = tuple((c, next(m for m in kept if dominates(m, c))) for c in items if c not in kept)
+    evicted = sum(1 for w in first.values() if w not in kept)
+    return kept, dropped, evicted, len(first) - evicted
+
+
+def _counted(dominates):
+    calls = Counter()
+
+    def counted(d, c):
+        calls["n"] += 1
+        return dominates(d, c)
+
+    return counted, calls
+
+
+def _evicting_family(rng, size):
+    """_clause_family plus longer, stronger clauses that can evict a witness.
+
+    Each added clause has one more member in one diamond than a clause of
+    the family, so it subsumes that clause and is visited after it.
+    """
+    family = _clause_family(rng, size)
+    for c in list(family):
+        if c.diamonds and rng.random() < 0.5:
+            s = rng.choice(sorted(c.diamonds, key=cnf_key))
+            body = make_cnf(s | {random_clause(rng, ("p", "q", "r"), 1, 2)})
+            family.append(make_clause(c.literals, c.boxes, (c.diamonds - {s}) | {body}))
+    return family
+
+
+def _check_witnesses(clauses, dominates):
+    """Compare _antichain with the reference; returns (evicted witnesses, calls saved)."""
+    new, new_calls = _counted(dominates)
+    old, old_calls = _counted(dominates)
+    got = pic._antichain(clauses, new)
+    kept, dropped, evicted, reused = _reference_antichain(clauses, old)
+    assert got == (kept, dropped)
+    # each drop whose first witness is kept saves the reference's scan
+    assert new_calls["n"] <= old_calls["n"] - reused
+    return evicted, old_calls["n"] - new_calls["n"]
+
+
+def test_first_pass_witness_is_the_first_kept_dominator(rng):
+    # <>p drops <>p | q, then <>(p & q & r) evicts <>p: the witness scan finds it
+    clauses = [cl("<>p"), cl("<>p | q"), cl("<>(p & q & r)")]
+    assert _check_witnesses(clauses, subsumes)[0] == 1
+    assert subsumption_reduce(clauses)[1] == (
+        (cl("<>p"), cl("<>(p & q & r)")), (cl("<>p | q"), cl("<>(p & q & r)")))
+    evicted = saved = 0
+    for _ in range(300):
+        e, s = _check_witnesses(_evicting_family(rng, rng.randint(1, 12)), subsumes)
+        evicted, saved = evicted + e, saved + s
+    assert evicted > 10 and saved > 300
+    oracle = EntailmentOracle()
+    evicted = saved = 0
+    for _ in range(60):
+        e, s = _check_witnesses(_evicting_family(rng, rng.randint(1, 6)), oracle.clause_entails)
+        evicted, saved = evicted + e, saved + s
+    assert evicted and saved
 
 
 # needs more tableau nodes than 30 when its verdict caches are cold

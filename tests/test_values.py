@@ -4,8 +4,9 @@ A compile keeps many clauses and a parse many formula nodes, so what one
 value costs sets what a long-running caller (the benchmark keeps every
 result it makes) holds in memory.  Builders share equal sub-objects within
 one call: a parse builds one node per distinct subformula, nnf keeps that
-sharing, disjoin reuses a part only one argument contributes, and a SAT
-model holds one set per distinct valuation image.  No library cache grows
+sharing, disjoin reuses a part only one argument contributes, a compile
+holds one object per distinct clause, and a SAT model holds one set per
+distinct valuation image.  No library cache grows
 for the life of the process.
 """
 
@@ -54,6 +55,7 @@ from kprime.syntax import (
     Or,
     Var,
     clause_key,
+    clause_length,
     clause_to_formula,
     cnf_key,
     sorted_clauses,
@@ -190,6 +192,32 @@ def test_every_empty_part_is_the_shared_empty():
     assert [c for c in reached for _ in _unshared_empties(c)] == []
 
 
+def _one_object_per_value(values) -> int:
+    """Asserts that equal values are one object; returns how many repeats there were."""
+    objects = {}
+    for v in values:
+        objects.setdefault(v, set()).add(id(v))
+    assert [v for v, ids in objects.items() if len(ids) > 1] == []
+    return len(values) - len(objects)
+
+
+def test_a_compile_holds_one_object_per_distinct_clause():
+    clauses = parts = 0
+    for text in _compile_mix_texts(random.Random(17), 150):
+        for trace in (False, True):
+            kb, result = _compile(text, trace=trace)
+            if result is None:
+                continue
+            reached = [*kb, *result.prime_implicates]
+            reached += (c for record in result.trace for pair in record.dropped for c in pair)
+            clauses += _one_object_per_value(reached)
+            # the parts of the clauses the compile built, as against parsed
+            built = {id(c): c for c in reached if c not in kb}.values()
+            parts += _one_object_per_value(
+                [p for c in built for p in (c.literals, c.boxes, c.diamonds) if p])
+    assert clauses > 1_000 and parts > 500
+
+
 def _nodes(f):
     """Every node of a formula tree, once per occurrence."""
     stack = [f]
@@ -281,17 +309,21 @@ def test_sat_models_share_equal_valuation_images():
     assert images > 500 and empties > 50
 
 
-def _retained_bytes_per_item(work, inputs):
-    """Bytes the results of work still hold once the key caches are emptied."""
+def _clear_clause_caches():
     clause_key.cache_clear()
     cnf_key.cache_clear()
+    clause_length.cache_clear()
+
+
+def _retained_bytes_per_item(work, inputs):
+    """Bytes the results of work still hold once the key and length caches are emptied."""
+    _clear_clause_caches()
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         kept = [work(x) for x in inputs]
-        clause_key.cache_clear()
-        cnf_key.cache_clear()
+        _clear_clause_caches()
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -301,7 +333,8 @@ def _retained_bytes_per_item(work, inputs):
 
 
 # Measured with CPython 3.11 at seed 101 over 300 items each: a compile-mix
-# item (the parsed KB and its PicResult) retains 5.6 KB, and a parsed
+# item (the parsed KB and its PicResult) retains 4.5 KB, 5.6 KB before a
+# compile shared its equal clauses and clause parts, and a parsed
 # prove-cnf formula 2.8 KB.  Before disjoin reused parts and the parser
 # shared equal subformulas they retained 6.2 KB and 5.2 KB; with
 # dict-backed dataclasses and one empty frozenset per empty part, 10.6 KB
@@ -332,19 +365,18 @@ def test_every_library_cache_is_bounded():
 
 
 def test_key_caches_stay_within_their_bound():
-    clause_key.cache_clear()
-    cnf_key.cache_clear()
+    _clear_clause_caches()
     for text in _compile_mix_texts(random.Random(101), 3456):
         _compile(text)
-    # the compiles key far more clauses than the caches keep
-    assert clause_key.cache_info().misses > KEY_CACHE_SIZE
-    assert clause_key.cache_info().currsize <= KEY_CACHE_SIZE
+    # the compiles key and measure far more clauses than the caches keep
+    for cache in (clause_key, clause_length):
+        assert cache.cache_info().misses > KEY_CACHE_SIZE
+        assert cache.cache_info().currsize <= KEY_CACHE_SIZE
     assert cnf_key.cache_info().currsize <= KEY_CACHE_SIZE
 
 
 def test_rendering_leaves_a_bounded_working_set():
-    clause_key.cache_clear()
-    cnf_key.cache_clear()
+    _clear_clause_caches()
     gc.collect()
     tracemalloc.start()
     try:
