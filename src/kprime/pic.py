@@ -10,20 +10,21 @@ residue); it keeps, from each equivalence class of the strongest clauses,
 the representative with the smallest (length, key) pair, so the whole
 pipeline is deterministic for a given input.  Within one compile, equal
 clauses are one object: the stages share a dict of every clause met so
-far, a resolvent equal to one of them is replaced by it, and a new one
-reuses the equal literal, box and diamond parts the dict holds.
+far, a closure clause equal to one of them is replaced by it, and a new
+one reuses the equal literal, box and diamond parts the dict holds.
 
 Clause-to-clause entailment rides on the tableau; an EntailmentOracle
 caches verdicts per clause pair, and only those, because the residue's
 witness pass repeats checks (distinct queries share no pair; a repeated
 KB-level question is answered by the tableau's memo).  Beside them it
-keeps, for as long as it lives, the formula of every clause and KB it has
-checked, so each is converted once however many checks it takes part in;
-that dict holds no verdict.  The caller owns both and, through the
-oracle's Tableau(node_budget=N), the node budget of every check.  Every
-entry point takes an oracle; one called without builds a fresh oracle
-over a fresh Tableau for that call alone, so no verdict or budget outcome
-carries over between calls the caller did not tie together.
+keeps the formula of every clause it has compared and KB it has checked,
+so each is converted once; that dict holds no verdict.  The clause of a
+KB check, often a one-off candidate, is converted for that check alone.
+The caller owns both and, through the oracle's Tableau(node_budget=N),
+the node budget of every check.  Every entry point takes an oracle; one
+called without builds a fresh oracle over a fresh Tableau for that call
+alone, so no verdict or budget outcome carries over between calls the
+caller did not tie together.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ class EntailmentOracle:
 
     Without a tableau it builds its own; the pair cache lives as long as
     the oracle, and every check runs under that tableau's node budget.
-    Each clause, and each KB given to is_implicate, is converted to a
-    formula once per oracle: the conversions live as long as the pair
-    cache and hold no verdict.
+    Each clause given to clause_entails, and each KB given to
+    is_implicate, is converted to a formula once per oracle: the
+    conversions live as long as the pair cache and hold no verdict.
     """
 
     def __init__(self, tableau: Tableau | None = None):
@@ -135,9 +136,8 @@ class EntailmentOracle:
 
     def is_implicate(self, u: Cnf, c: Clause) -> bool:
         """True iff the knowledge base entails the clause; the tableau's memo answers repeats."""
-        return self.tableau.entails(
-            self._formula(u, cnf_to_formula), self._formula(c, clause_to_formula)
-        )
+        f = self._formulas.get(c) or clause_to_formula(c)  # kept only by clause_entails
+        return self.tableau.entails(self._formula(u, cnf_to_formula), f)
 
 
 def clause_order(c: Clause):
@@ -240,6 +240,28 @@ def subsumption_reduce(clauses):
     return _antichain(clauses, subsumes)
 
 
+def _share(c: Clause, seen: dict) -> Clause:
+    """The one object seen holds for c's value.
+
+    The first time, that is c, with each part swapped for an equal part
+    seen already holds; the clause and its parts then join seen.
+    """
+    hit = seen.get(c)
+    if hit is not None:
+        return hit
+    lits, boxes, dias = c.literals, c.boxes, c.diamonds
+    if lits:
+        lits = seen.setdefault(lits, lits)
+    if boxes:
+        boxes = seen.setdefault(boxes, boxes)
+    if dias:
+        dias = seen.setdefault(dias, dias)
+    if lits is not c.literals or boxes is not c.boxes or dias is not c.diamonds:
+        c = Clause(lits, boxes, dias)
+    seen[c] = c
+    return c
+
+
 def prime_implicates(
     u: Cnf,
     config: PicConfig | None = None,
@@ -256,9 +278,10 @@ def prime_implicates(
     answer; its removals appear as a final trace record.  With trace, the
     result's steps hold the ranked resolution derivations of every stage;
     without it they are () and no derivation is built.  Equal clauses in
-    the input, the trace records and the result are one object.  Without
-    an oracle, a fresh one serves this call, so the same input and config
-    always give the same verdict.
+    the input, the trace records and the result are one object, as each
+    closure is shared (_share) before it is reduced.  Without an oracle, a
+    fresh one serves this call, so the same input and config always give
+    the same verdict.
     """
     config = config or PicConfig()
     oracle = oracle or EntailmentOracle()
@@ -275,11 +298,9 @@ def prime_implicates(
         for stage in range(1, config.max_iterations + 1):
             iterations = stage
             closure, stage_steps = closure_step_traced(
-                current,
-                clause_budget=config.clause_budget,
-                trace=trace,
-                seen=seen,
+                current, clause_budget=config.clause_budget, trace=trace
             )
+            closure = frozenset(_share(c, seen) for c in closure)
             kept, dropped = subsumption_reduce(closure)
             if trace:
                 steps.extend(stage_steps)

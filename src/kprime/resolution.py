@@ -27,14 +27,16 @@ no-successor-or-witness consequences.
 
 The one-step closure of a clause set adds every resolvent of every pair
 (including a clause with itself) and of every single clause; saturation
-across steps is the compiler's job, not this module's.  One routine,
-closure_step_traced, computes it with or without a trace.  The rules yield
-conclusions one at a time, and the closure checks its clause budget per
-distinct conclusion, so a capped layer stops one clause past the cap.
-Derivations are built, kept and ranked only when a trace is asked for.
-The resolvent search depth cap is the constant DEFAULT_MAX_DEPTH; the
-clause budget is the caller's (PicConfig.clause_budget when the compiler
-calls).
+across steps is the compiler's job.  closure_step_traced computes it and
+checks the caller's clause budget per distinct conclusion.  A layer is a
+set, so the rules visit clause parts as stored and no output depends on
+that order: the budget fires on whichever clause comes clause_budget +
+1st, and a traced conclusion keeps its smallest derivation by (node
+count, signature).  Derivations record which premise comes first, so only
+premise order is sorted: the closure's pairs and gamma-diamond1's member
+pairs.  No rule nests a resolvent deeper than its premises (absorption
+puts a level-1 box body into a level-1 diamond), so one check of the
+premises against DEFAULT_MAX_DEPTH bounds the whole search.
 """
 
 from __future__ import annotations
@@ -46,17 +48,21 @@ from .normalization import box, conjoin, diamond, disjoin, literal
 # unused here, kept importable: bench/run.py --trace 1 wraps these two names
 # on this module to count simplification inside resolution
 from .normalization import simplify, simplify_cnf  # noqa: F401
-from .syntax import (
-    BOTTOM_CLAUSE,
-    Clause,
-    clause_key,
-    cnf_key,
-    literal_sort_key,
-    sorted_clauses,
-)
+from .syntax import BOTTOM_CLAUSE, Clause, clause_key, sorted_clauses
 
 DEFAULT_MAX_DEPTH = 64
 _TOO_DEEP = f"resolvent search nested deeper than {DEFAULT_MAX_DEPTH} levels"
+
+
+def _check_nesting(clauses, room: int = DEFAULT_MAX_DEPTH) -> None:
+    """RecursionDepthExceeded if a clause nests box bodies or diamond members
+    more than room levels deep; the walk stops at the cap, far inside the stack."""
+    for c in clauses:
+        if room < 0:
+            raise RecursionDepthExceeded(_TOO_DEEP)
+        _check_nesting(c.boxes, room - 1)
+        for s in c.diamonds:
+            _check_nesting(s, room - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,15 +100,13 @@ def _wrap(trace: bool, rule: str, premises: tuple, core, *rems: Clause):
     return core
 
 
-def _sigma(a: Clause, b: Clause, depth: int, trace: bool):
-    if depth < 0:
-        raise RecursionDepthExceeded(_TOO_DEEP)
+def _sigma(a: Clause, b: Clause, trace: bool):
     if a.is_bottom or b.is_bottom:
         # a bottom premise resolves the pair away entirely
         yield ResolutionStep("A1'", (a, b), BOTTOM_CLAUSE) if trace else BOTTOM_CLAUSE
         return
 
-    for lit in sorted(a.literals, key=literal_sort_key):
+    for lit in a.literals:
         comp = lit.negate()
         if comp not in b.literals:
             continue
@@ -112,9 +116,9 @@ def _sigma(a: Clause, b: Clause, depth: int, trace: bool):
         rem_b = Clause(b.literals - {comp}, b.boxes, b.diamonds)
         yield _wrap(trace, "sigma-or", (a, b), core, rem_a, rem_b)
 
-    for da in sorted_clauses(a.boxes):
-        for db in sorted_clauses(b.boxes):
-            for inner in _sigma(da, db, depth - 1, trace):
+    for da in a.boxes:
+        for db in b.boxes:
+            for inner in _sigma(da, db, trace):
                 conclusion = box(inner.conclusion if trace else inner)
                 core = (ResolutionStep("sigma-boxbox", (box(da), box(db)), conclusion, (inner,))
                         if trace else conclusion)
@@ -125,7 +129,7 @@ def _sigma(a: Clause, b: Clause, depth: int, trace: bool):
     for x, y in ((a, b), (b, a)):
         if not y.diamonds:
             continue  # both rules below act on the partner's diamonds
-        for d in sorted_clauses(x.boxes):
+        for d in x.boxes:
             rem_x = Clause(x.literals, x.boxes - {d}, x.diamonds)
             if not all(d in s for s in y.diamonds):
                 # a box body holds at every successor, so each diamond's
@@ -139,10 +143,10 @@ def _sigma(a: Clause, b: Clause, depth: int, trace: bool):
                         if trace else conclusion)
                 rem_y = Clause(y.literals, y.boxes)
                 yield _wrap(trace, "sigma-or", (a, b), core, rem_x, rem_y)
-            for s in sorted(y.diamonds, key=cnf_key):
+            for s in y.diamonds:
                 rem_y = Clause(y.literals, y.boxes, y.diamonds - {s})
-                for e in sorted_clauses(s):
-                    for inner in _sigma(d, e, depth - 1, trace):
+                for e in s:
+                    for inner in _sigma(d, e, trace):
                         conclusion = diamond(conjoin(s, (inner.conclusion if trace else inner,)))
                         core = (ResolutionStep("sigma-boxdiamond", (box(d), diamond(s)),
                                                conclusion, (inner,))
@@ -150,11 +154,8 @@ def _sigma(a: Clause, b: Clause, depth: int, trace: bool):
                         yield _wrap(trace, "sigma-or", (a, b), core, rem_x, rem_y)
 
 
-def _gamma(a: Clause, depth: int, trace: bool):
-    if depth < 0:
-        raise RecursionDepthExceeded(_TOO_DEEP)
-
-    for d in sorted_clauses(a.boxes):
+def _gamma(a: Clause, trace: bool):
+    for d in a.boxes:
         rem = Clause(a.literals, a.boxes - {d}, a.diamonds)
         # successor dichotomy: a world either has no successors or has one
         # satisfying the box body.  This seeds a diamond that absorption can
@@ -163,24 +164,24 @@ def _gamma(a: Clause, depth: int, trace: bool):
         dichotomy = disjoin(box(BOTTOM_CLAUSE), diamond(frozenset((d,))))
         core = ResolutionStep("gamma-dichotomy", (box(d),), dichotomy) if trace else dichotomy
         yield _wrap(trace, "gamma-or", (a,), core, rem)
-        for inner in _gamma(d, depth - 1, trace):
+        for inner in _gamma(d, trace):
             conclusion = box(inner.conclusion if trace else inner)
             core = (ResolutionStep("gamma-box", (box(d),), conclusion, (inner,))
                     if trace else conclusion)
             yield _wrap(trace, "gamma-or", (a,), core, rem)
 
-    for s in sorted(a.diamonds, key=cnf_key):
+    for s in a.diamonds:
         rem = Clause(a.literals, a.boxes, a.diamonds - {s})
-        members = sorted_clauses(s)
+        members = sorted_clauses(s)  # the trace records e1 before e2
         for i, e1 in enumerate(members):
             for e2 in members[i + 1 :]:
-                for inner in _sigma(e1, e2, depth - 1, trace):
+                for inner in _sigma(e1, e2, trace):
                     conclusion = diamond(conjoin(s, (inner.conclusion if trace else inner,)))
                     core = (ResolutionStep("gamma-diamond1", (diamond(s),), conclusion, (inner,))
                             if trace else conclusion)
                     yield _wrap(trace, "gamma-or", (a,), core, rem)
-        for e in members:
-            for inner in _gamma(e, depth - 1, trace):
+        for e in s:
+            for inner in _gamma(e, trace):
                 conclusion = diamond(conjoin(s, (inner.conclusion if trace else inner,)))
                 core = (ResolutionStep("gamma-diamond2", (diamond(s),), conclusion, (inner,))
                         if trace else conclusion)
@@ -207,72 +208,46 @@ def _dedup(steps) -> tuple:
     return tuple(best[key][1] for key in sorted(best))
 
 
-def _share(c: Clause, seen: dict) -> Clause:
-    """The one object seen holds for c's value.
-
-    The first time, that is c, with each part swapped for an equal part
-    seen already holds; the clause and its parts then join seen.
-    """
-    hit = seen.get(c)
-    if hit is not None:
-        return hit
-    lits, boxes, dias = c.literals, c.boxes, c.diamonds
-    if lits:
-        lits = seen.setdefault(lits, lits)
-    if boxes:
-        boxes = seen.setdefault(boxes, boxes)
-    if dias:
-        dias = seen.setdefault(dias, dias)
-    if lits is not c.literals or boxes is not c.boxes or dias is not c.diamonds:
-        c = Clause(lits, boxes, dias)
-    seen[c] = c
-    return c
-
-
 def sigma_resolvents(a: Clause, b: Clause) -> tuple:
     """All resolvents of a clause pair, one derivation per conclusion."""
-    return _dedup(_sigma(a, b, DEFAULT_MAX_DEPTH, True))
+    _check_nesting((a, b))
+    return _dedup(_sigma(a, b, True))
 
 
 def gamma_resolvents(a: Clause) -> tuple:
     """All single-premise resolvents of a clause, one derivation per conclusion."""
-    return _dedup(_gamma(a, DEFAULT_MAX_DEPTH, True))
+    _check_nesting((a,))
+    return _dedup(_gamma(a, True))
 
 
 def _layer(base, trace: bool):
-    """Every result of one closure layer, pairs first, in clause-key order."""
+    """Every result of one closure layer, pairs (a, b) in clause-key order."""
     for i, a in enumerate(base):
         for b in base[i:]:
-            yield from _sigma(a, b, DEFAULT_MAX_DEPTH, trace)
-        yield from _gamma(a, DEFAULT_MAX_DEPTH, trace)
+            yield from _sigma(a, b, trace)
+        yield from _gamma(a, trace)
 
 
-def closure_step_traced(
-    clauses, clause_budget: int | None = None, trace: bool = False, seen: dict | None = None
-):
+def closure_step_traced(clauses, clause_budget: int | None = None, trace: bool = False):
     """One closure layer: the set plus every one-step resolvent.
 
     Returns (clause set, what is new): one entry per conclusion not already
     in the input.  With trace the entries are derivations: every derivation
     of a new conclusion is kept and the smallest is returned, ordered by
     conclusion key.  Without it they are the new conclusions themselves, in
-    the order found, and no derivation is built.  Pairs are visited in
-    clause-key order and each conclusion joins the set as the rules produce
-    it, so the clause budget fires as soon as the set holds clause_budget + 1
-    clauses, before the rest of the layer is built.  seen, when given, maps
-    the clauses the caller has met, and their literal, box and diamond
-    parts, to the one object that stands for each value: a new conclusion
-    joins the set as that object, built from those parts the first time,
-    and then joins seen.
+    the order found, and no derivation is built.  Each conclusion joins the
+    set as the rules produce it, so the clause budget fires as soon as the
+    set holds clause_budget + 1 clauses, before the rest of the layer is
+    built.  A clause nested deeper than DEFAULT_MAX_DEPTH fails first.
     """
-    base = sorted_clauses(set(clauses))
+    clauses = set(clauses)
+    _check_nesting(clauses)
+    base = sorted_clauses(clauses)
     out = set(base)
     found = []  # with trace every derivation, without it each new conclusion
     for result in _layer(base, trace):
         conclusion = result.conclusion if trace else result
         if conclusion not in out:
-            if seen is not None:
-                conclusion = _share(conclusion, seen)
             out.add(conclusion)
             if clause_budget is not None and len(out) > clause_budget:
                 raise ClauseBudgetExceeded(

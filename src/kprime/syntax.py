@@ -421,12 +421,15 @@ def clause_from_json(obj) -> Clause:
     """Inverse of clause_to_json; ValueError on anything it cannot produce."""
     if not isinstance(obj, dict):
         raise ValueError(f"a clause must be an object, not {obj!r}")
-    lits = frozenset(_literal_from_json(s) for s in _json_array(obj.get("lits", [])))
-    boxes = frozenset(clause_from_json(b) for b in _json_array(obj.get("boxes", [])))
-    diamonds = frozenset(
-        frozenset(clause_from_json(m) for m in _json_array(arr)) or EMPTY
-        for arr in _json_array(obj.get("diamonds", []))
-    )
+    try:
+        lits = frozenset(_literal_from_json(s) for s in _json_array(obj.get("lits", [])))
+        boxes = frozenset(clause_from_json(b) for b in _json_array(obj.get("boxes", [])))
+        diamonds = frozenset(
+            frozenset(clause_from_json(m) for m in _json_array(arr)) or EMPTY
+            for arr in _json_array(obj.get("diamonds", []))
+        )
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to read") from None
     return Clause(lits, boxes, diamonds)
 
 

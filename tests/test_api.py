@@ -19,7 +19,8 @@ REMOVED = (
 )
 
 # the Tableau's node_budget is the only tableau budget, the resolvent depth
-# cap is fixed, and single_clause converts at to_cnf's default budget
+# cap is fixed, only the compiler shares clauses, and single_clause converts
+# at to_cnf's default budget
 REMOVED_PARAMETERS = (
     (kprime.Tableau.satisfiable, "node_budget"),
     (kprime.Tableau.entails, "node_budget"),
@@ -27,6 +28,7 @@ REMOVED_PARAMETERS = (
     (kprime.EntailmentOracle.is_implicate, "node_budget"),
     (kprime.residue_detailed, "node_budget"),
     (kprime.closure_step_traced, "max_depth"),
+    (kprime.closure_step_traced, "seen"),
     (kprime.sigma_resolvents, "max_depth"),
     (kprime.gamma_resolvents, "max_depth"),
     (kprime.single_clause, "clause_budget"),

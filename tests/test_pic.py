@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from itertools import permutations
 
@@ -10,6 +13,7 @@ from kprime import (
     EntailmentOracle,
     PicConfig,
     PicResult,
+    RecursionDepthExceeded,
     Tableau,
     TableauBudgetExceeded,
     closure_step_traced,
@@ -225,7 +229,8 @@ def test_oracle_converts_each_clause_and_kb_once(monkeypatch):
         pairs = [oracle.clause_entails(d, c) for d in clauses for c in clauses]
         implicates = [oracle.is_implicate(kb, c) for c in clauses]
         assert oracle.is_implicate(kb, cl("[][](~p | r)"))
-    assert converted == Counter(clauses + [kb, cl("[][](~p | r)")])
+    # a clause only is_implicate asks about is converted for each check
+    assert converted == Counter(clauses + [kb] + [cl("[][](~p | r)")] * 2)
     # the verdicts of a direct check on a fresh tableau
     tableau = Tableau()
     assert pairs == [tableau.entails(clause_to_formula(d), clause_to_formula(c))
@@ -238,9 +243,14 @@ def test_brute_prime_implicates_of_two_overlapping_boxes():
     # the KB of the covering gap: the reference finds the prime implicate
     # []p | <>(q & r) that no compiled clause covers
     kb = make_cnf([cl("[](p | q)"), cl("[](p | r)")])
-    pi = prime_implicates_brute(kb, ("p", "q", "r"), 1, 2)
+    oracle = EntailmentOracle()
+    pi = prime_implicates_brute(kb, ("p", "q", "r"), 1, 2, oracle)
     assert [str(c) for c in sorted(pi, key=clause_order)] == [
         "[](p | q)", "[](p | r)", "([]p | <>(q & r))"]
+    # the oracle keeps the formulas of the KB and of the implicates the
+    # residue compared, not of all 33,671 candidates it checked
+    compared = {c for pair in oracle._pair_cache for c in pair}
+    assert set(oracle._formulas) == {kb} | compared
 
 
 def test_fixpoint_stability():
@@ -280,6 +290,51 @@ def test_clause_budget_reports_stage():
     with pytest.raises(ClauseBudgetExceeded) as exc:
         prime_implicates(u, PicConfig(clause_budget=1))
     assert exc.value.stage == 1
+
+
+def test_a_clause_nested_too_deep_fails_before_the_budget():
+    # the input alone decides: the deep clause is refused before any rule
+    # runs, though the layer would pass the budget before reaching it
+    texts = ("p | q", "~p | q", "p | ~q", "~p | ~q", "z | " + "[]" * 65 + "r")
+    kb = make_cnf([cl(t) for t in texts])
+    with pytest.raises(RecursionDepthExceeded, match="64") as exc:
+        prime_implicates(kb, PicConfig(clause_budget=4))
+    assert exc.value.stage == 1
+
+
+_HASH_SEED_SCRIPT = """
+import hashlib, json, random
+from kprime import BudgetExceeded, PicConfig, prime_implicates
+from kprime.generators import random_kb
+rng = random.Random(23)
+digest = hashlib.sha256()
+for _ in range(200):
+    kb = random_kb(rng, ("p", "q", "r")[: rng.randint(1, 3)], clauses=rng.randint(1, 4),
+                   depth=rng.randint(0, 3), width=rng.randint(1, 4))
+    try:
+        result = prime_implicates(kb, PicConfig(max_iterations=8, clause_budget=30), trace=True)
+    except BudgetExceeded as e:
+        digest.update(f"{type(e).__name__}: {e}".encode())
+        continue
+    digest.update(json.dumps(result.to_json()).encode())
+    for step in result.steps:
+        digest.update(json.dumps(step.to_json()).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_traced_compiles_do_not_depend_on_the_hash_seed():
+    # the rules visit set members in hash order; no result or derivation may follow it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pic.__file__)))
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def _compile_outcome(kb, config, trace=False, oracle=None):

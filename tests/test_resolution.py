@@ -178,8 +178,12 @@ def test_depth_cap_raises():
         sigma_resolvents(a, b)
     with pytest.raises(RecursionDepthExceeded, match="64"):
         gamma_resolvents(a)
+    # premises are checked before any rule runs, even a pair with no resolvent
+    with pytest.raises(RecursionDepthExceeded, match="64"):
+        sigma_resolvents(a, cl("q"))
     a, b = cl("[]" * 64 + "p"), cl("[]" * 64 + "~p")
     assert conclusions(sigma_resolvents(a, b)) == {cl("[]" * 64 + "bot")}
+    assert sigma_resolvents(a, cl("q")) == ()
     assert gamma_resolvents(a)
 
 

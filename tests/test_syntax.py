@@ -16,6 +16,7 @@ from kprime import (
     clause_length,
     clause_to_formula,
     clause_to_json,
+    closure_step_traced,
     length,
     modal_depth,
     model_check,
@@ -111,6 +112,13 @@ def _deep_clause():
     return deep
 
 
+def _deep_clause_json():
+    deep = {"lits": ["p"]}
+    for _ in range(5000):
+        deep = {"boxes": [deep]}
+    return deep
+
+
 def _loop_model():
     # one world that sees itself, so every box is checked one level down
     return KripkeModel(frozenset([0]), frozenset([(0, 0)]), {}, 0)
@@ -123,6 +131,10 @@ DEEP_INPUT_CALLS = {
     "render": lambda: render(_deep_formula()),
     "modal_depth": lambda: modal_depth(_deep_formula()),
     "clause_key": lambda: clause_key(_deep_clause()),
+    "clause_from_json": lambda: clause_from_json(_deep_clause_json()),
+    "clause_to_json": lambda: clause_to_json(_deep_clause()),
+    "clause_to_formula": lambda: clause_to_formula(_deep_clause()),
+    "closure_step_traced": lambda: closure_step_traced([_deep_clause()]),
     "str_clause": lambda: str(_deep_clause()),
     "model_check": lambda: model_check(_loop_model(), 0, _deep_formula()),
     "length": lambda: length(_deep_formula()),
