@@ -20,6 +20,12 @@ subterm, or the two copies of each side that <-> expands to, costs its nodes
 once.  The table that shares them lives for that parse only, so two parses
 share nothing and no table grows with the process.
 
+Tokens are plain strings: one regular-expression pass splits the text, and
+the descent compares token strings.  A token's line and column are worked
+out from the text only when a ParseError is raised.  A character no token
+starts with is reported ("unexpected character") before any syntax error,
+and before the nesting limit (RecursionDepthExceeded), wherever it stands.
+
 render produces text that parses back to a structurally identical tree:
 binary connectives are always parenthesized, unary operators bind their
 argument directly.
@@ -28,195 +34,55 @@ argument directly.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from .errors import ParseError, RecursionDepthExceeded
 from .syntax import BOT, VAR_NAME, And, Bottom, Box, Diamond, Formula, Not, Or, Var
 
-_TOKEN_RE = re.compile(
-    rf"""
-      (?P<WS>\s+)
-    | (?P<VAR>{VAR_NAME.pattern})
-    | (?P<IFF><->)
-    | (?P<IMP>->)
-    | (?P<DIA><>)
-    | (?P<BOX>\[\])
-    | (?P<NOT>~)
-    | (?P<AND>&)
-    | (?P<OR>\|)
-    | (?P<LP>\()
-    | (?P<RP>\))
-    | (?P<BAD>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# Leading whitespace, then one token: an arrow, a modality, a variable, a
+# connective or parenthesis, or else one character no token starts with.
+_TOKEN_RE = re.compile(rf"\s*(<->|->|<>|\[\]|{VAR_NAME.pattern}|[~&|()]|\S)")
+_PREFIX = {"~": Not, "[]": Box, "<>": Diamond}
+_SYMBOLS = frozenset(("~", "[]", "<>", "&", "|", "->", "<->", "(", ")"))
+_ANY_TOKEN = ("variable", "bot", "~", "&", "|", "->", "<->", "[]", "<>", "(", ")")
+_ATOM_START = ("variable", "bot", "~", "[]", "<>", "(")
+_AFTER_FORMULA = ("end of input", "&", "|", "->", "<->")
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind == "WS":
-            if "\n" in chunk:
-                line += chunk.count("\n")
-                line_start = m.start() + chunk.rindex("\n") + 1
-            continue
-        if kind == "BAD":
-            raise ParseError(
-                "unexpected character",
-                line,
-                m.start() - line_start + 1,
-                expected=("variable", "bot", "~", "&", "|", "->", "<->", "[]", "<>", "(", ")"),
-                found=chunk,
-            )
-        if kind == "VAR" and chunk == "bot":
-            kind = "BOT"
-        tokens.append(Token(kind, chunk, line, m.start() - line_start + 1))
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
+def tokenize(text: str) -> list[str]:
+    """The token strings of text, whitespace dropped; "" ends the list."""
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     return tokens
 
 
-_KIND_LABEL = {
-    "VAR": "variable",
-    "BOT": "bot",
-    "NOT": "~",
-    "AND": "&",
-    "OR": "|",
-    "IMP": "->",
-    "IFF": "<->",
-    "BOX": "[]",
-    "DIA": "<>",
-    "LP": "(",
-    "RP": ")",
-    "EOF": "end of input",
-}
+def _is_bad(token: str) -> bool:
+    """A one-character token that starts no token of the grammar."""
+    return token != "" and token not in _SYMBOLS and not VAR_NAME.match(token)
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.nodes: dict = {}  # this parse's node per distinct subformula
+def _error(text: str, tokens: list[str], index: int, expected) -> ParseError:
+    """The error at tokens[index], or at the first bad character if there is one.
 
-    # Shared children are equal exactly when they are identical, so their ids
-    # key a node without hashing whole subtrees.
-
-    def unary_node(self, cls, body: Formula) -> Formula:
-        """This parse's one node cls(body), for a body already shared."""
-        key = (cls, id(body))
-        out = self.nodes.get(key)
-        if out is None:
-            out = self.nodes[key] = cls(body)
-        return out
-
-    def binary_node(self, cls, left: Formula, right: Formula) -> Formula:
-        """This parse's one node cls(left, right), for children already shared."""
-        key = (cls, id(left), id(right))
-        out = self.nodes.get(key)
-        if out is None:
-            out = self.nodes[key] = cls(left, right)
-        return out
-
-    def var(self, name: str) -> Formula:
-        out = self.nodes.get(name)
-        if out is None:
-            out = self.nodes[name] = Var(name)
-        return out
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail((kind,))
-        return self.take()
-
-    def fail(self, expected_kinds):
-        tok = self.peek()
-        raise ParseError(
-            "syntax error",
-            tok.line,
-            tok.column,
-            expected=tuple(_KIND_LABEL[k] for k in expected_kinds),
-            found=tok.text or "end of input",
-        )
-
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek().kind == "IFF":
-            self.take()
-            right = self.iff()
-            b, u = self.binary_node, self.unary_node
-            return b(And, b(Or, u(Not, left), right), b(Or, u(Not, right), left))
-        return left
-
-    def imp(self) -> Formula:
-        left = self.or_()
-        if self.peek().kind == "IMP":
-            self.take()
-            right = self.imp()
-            return self.binary_node(Or, self.unary_node(Not, left), right)
-        return left
-
-    def or_(self) -> Formula:
-        out = self.and_()
-        while self.peek().kind == "OR":
-            self.take()
-            out = self.binary_node(Or, out, self.and_())
-        return out
-
-    def and_(self) -> Formula:
-        out = self.unary()
-        while self.peek().kind == "AND":
-            self.take()
-            out = self.binary_node(And, out, self.unary())
-        return out
-
-    def unary(self) -> Formula:
-        kind = self.peek().kind
-        if kind == "NOT":
-            self.take()
-            return self.unary_node(Not, self.unary())
-        if kind == "BOX":
-            self.take()
-            return self.unary_node(Box, self.unary())
-        if kind == "DIA":
-            self.take()
-            return self.unary_node(Diamond, self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "VAR":
-            self.take()
-            return self.var(tok.text)
-        if tok.kind == "BOT":
-            self.take()
-            return BOT
-        if tok.kind == "LP":
-            self.take()
-            inner = self.formula()
-            self.expect("RP")
-            return inner
-        self.fail(("VAR", "BOT", "NOT", "BOX", "DIA", "LP"))
+    The line and column are worked out here, from the text, as only a
+    failed parse needs them.
+    """
+    message = "syntax error"
+    bad = next((i for i, t in enumerate(tokens) if _is_bad(t)), None)
+    if bad is not None:
+        message, index, expected = "unexpected character", bad, _ANY_TOKEN
+    if index < len(tokens) - 1:
+        at = next(islice(_TOKEN_RE.finditer(text), index, None)).start(1)
+    else:
+        at = len(text)
+    line_start = text.rfind("\n", 0, at) + 1
+    return ParseError(
+        message,
+        text.count("\n", 0, at) + 1,
+        at - line_start + 1,
+        expected=expected,
+        found=tokens[index] or "end of input",
+    )
 
 
 def parse(text: str) -> Formula:
@@ -225,14 +91,98 @@ def parse(text: str) -> Formula:
     Equal subformulas of the result are one object; nothing is shared with
     the result of any other call.
     """
-    parser = _Parser(tokenize(text))
+    tokens = tokenize(text)
+    pos = 0
+    # This parse's node per distinct subformula.  Shared children are equal
+    # exactly when they are identical, so their ids key a node without
+    # hashing whole subtrees; a variable is keyed by its name, and a token
+    # found here is one already checked to be a variable (or bot).
+    nodes: dict = {"bot": BOT}
+
+    def unary_node(cls, body: Formula) -> Formula:
+        key = (cls, id(body))
+        out = nodes.get(key)
+        if out is None:
+            out = nodes[key] = cls(body)
+        return out
+
+    def binary_node(cls, left: Formula, right: Formula) -> Formula:
+        key = (cls, id(left), id(right))
+        out = nodes.get(key)
+        if out is None:
+            out = nodes[key] = cls(left, right)
+        return out
+
+    def iff() -> Formula:
+        nonlocal pos
+        left = imp()
+        if tokens[pos] == "<->":
+            pos += 1
+            right = iff()
+            b, u = binary_node, unary_node
+            return b(And, b(Or, u(Not, left), right), b(Or, u(Not, right), left))
+        return left
+
+    def imp() -> Formula:
+        nonlocal pos
+        left = or_()
+        if tokens[pos] == "->":
+            pos += 1
+            return binary_node(Or, unary_node(Not, left), imp())
+        return left
+
+    def or_() -> Formula:
+        nonlocal pos
+        out = and_()
+        while tokens[pos] == "|":
+            pos += 1
+            out = binary_node(Or, out, and_())
+        return out
+
+    def and_() -> Formula:
+        nonlocal pos
+        out = unary()
+        while tokens[pos] == "&":
+            pos += 1
+            out = binary_node(And, out, unary())
+        return out
+
+    def unary() -> Formula:
+        nonlocal pos
+        tok = tokens[pos]
+        cls = _PREFIX.get(tok)
+        if cls is not None:
+            pos += 1
+            return unary_node(cls, unary())
+        if tok == "(":
+            pos += 1
+            inner = iff()
+            if tokens[pos] != ")":
+                raise _error(text, tokens, pos, (")",))
+            pos += 1
+            return inner
+        out = nodes.get(tok)
+        if out is None:
+            if not VAR_NAME.match(tok):
+                raise _error(text, tokens, pos, _ATOM_START)
+            out = nodes[tok] = Var(tok)
+        pos += 1
+        return out
+
     try:
-        out = parser.formula()
+        out = iff()
+        if tokens[pos]:
+            raise _error(text, tokens, pos, _AFTER_FORMULA)
+        return out
     except RecursionError:
+        if any(map(_is_bad, tokens)):  # _error reports the first in place of token 0
+            raise _error(text, tokens, 0, ()) from None
         raise RecursionDepthExceeded("formula nested too deep to parse") from None
-    if parser.peek().kind != "EOF":
-        parser.fail(("EOF", "AND", "OR", "IMP", "IFF"))
-    return out
+    finally:
+        # The descent functions refer to one another, a reference cycle that
+        # would keep this parse's tokens and table until the next cycle
+        # collection; emptying their cells frees both on return.
+        del iff, imp, or_, and_, unary
 
 
 def render(f: Formula) -> str:

@@ -278,10 +278,10 @@ def prime_implicates(
     answer; its removals appear as a final trace record.  With trace, the
     result's steps hold the ranked resolution derivations of every stage;
     without it they are () and no derivation is built.  Equal clauses in
-    the input, the trace records and the result are one object, as each
-    closure is shared (_share) before it is reduced.  Without an oracle, a
-    fresh one serves this call, so the same input and config always give
-    the same verdict.
+    the input, the trace records and the result are one object, as the new
+    conclusions of each closure are shared (_share) before it is reduced.
+    Without an oracle, a fresh one serves this call, so the same input and
+    config always give the same verdict.
     """
     config = config or PicConfig()
     oracle = oracle or EntailmentOracle()
@@ -300,7 +300,8 @@ def prime_implicates(
             closure, stage_steps = closure_step_traced(
                 current, clause_budget=config.clause_budget, trace=trace
             )
-            closure = frozenset(_share(c, seen) for c in closure)
+            # the inputs are seen's objects already; only new conclusions join it
+            closure = current.union(_share(c, seen) for c in closure - current)
             kept, dropped = subsumption_reduce(closure)
             if trace:
                 steps.extend(stage_steps)

@@ -377,13 +377,21 @@ def sorted_clauses(clauses) -> list:
     return sorted(clauses, key=clause_key)
 
 
+def _in_order(part, key):
+    """The members of part in key order; one member needs no key."""
+    return sorted(part, key=key) if len(part) > 1 else part
+
+
 def clause_to_formula(c: Clause) -> Formula:
     """Clause rendered back into the plain formula syntax (deterministic shape)."""
     if c.is_bottom:
         return BOT
-    disjuncts = [l.to_formula() for l in sorted(c.literals, key=literal_sort_key)]
-    disjuncts += [Box(clause_to_formula(b)) for b in sorted_clauses(c.boxes)]
-    disjuncts += [Diamond(cnf_to_formula(s)) for s in sorted(c.diamonds, key=cnf_key)]
+    disjuncts = [l.to_formula() for l in _in_order(c.literals, literal_sort_key)]
+    try:
+        disjuncts += [Box(clause_to_formula(b)) for b in _in_order(c.boxes, clause_key)]
+        disjuncts += [Diamond(cnf_to_formula(s)) for s in _in_order(c.diamonds, cnf_key)]
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to convert") from None
     out = disjuncts[-1]
     for d in reversed(disjuncts[:-1]):
         out = Or(d, out)
@@ -394,7 +402,7 @@ def cnf_to_formula(s: Cnf) -> Formula:
     """Conjunction of the member clauses; the empty set renders as ~bot."""
     if not s:
         return TOP
-    members = [clause_to_formula(c) for c in sorted_clauses(s)]
+    members = [clause_to_formula(c) for c in _in_order(s, clause_key)]
     out = members[-1]
     for m in reversed(members[:-1]):
         out = And(m, out)

@@ -39,7 +39,6 @@ from kprime import (
 from kprime.brute import enumerate_clauses
 from kprime.generators import random_clause, random_formula, random_kb
 from kprime.normalization import disjoin
-from kprime.parser import Token
 from kprime.pic import PicResult, StageRecord
 from kprime.resolution import ResolutionStep
 from kprime.semantics import KripkeModel, SatResult, _Tree, model_check
@@ -80,7 +79,6 @@ SLOTTED_VALUES = (
     _Tree(EMPTY),
     StageRecord(1, 1, 1, ()),
     PicResult(EMPTY, 0, (), True),
-    Token("VAR", "p", 1, 1),
     ResolutionStep("A1", (), Clause()),
 )
 
