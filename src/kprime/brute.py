@@ -81,7 +81,7 @@ def enumerate_clauses(vocab, depth: int, width: int):
     the empty clause comes first.  Raises ClauseBudgetExceeded, before
     building any clause, when the space holds more than MAX_CLAUSE_SPACE.
     """
-    vocab = tuple(sorted(vocab))
+    vocab = tuple(sorted(set(vocab)))  # a repeated variable adds nothing
     size = _space_size(len(vocab), depth, width)
     if size > MAX_CLAUSE_SPACE:
         raise ClauseBudgetExceeded(

@@ -13,18 +13,17 @@ clauses are one object: the stages share a dict of every clause met so
 far, a closure clause equal to one of them is replaced by it, and a new
 one reuses the equal literal, box and diamond parts the dict holds.
 
-Clause-to-clause entailment rides on the tableau; an EntailmentOracle
-caches verdicts per clause pair, and only those, because the residue's
-witness pass repeats checks (distinct queries share no pair; a repeated
-KB-level question is answered by the tableau's memo).  Beside them it
-keeps the formula of every clause it has compared and KB it has checked,
-so each is converted once; that dict holds no verdict.  The clause of a
-KB check, often a one-off candidate, is converted for that check alone.
-The caller owns both and, through the oracle's Tableau(node_budget=N),
-the node budget of every check.  Every entry point takes an oracle; one
-called without builds a fresh oracle over a fresh Tableau for that call
-alone, so no verdict or budget outcome carries over between calls the
-caller did not tie together.
+Clause-to-clause entailment rides on the tableau, whose memo is the one
+verdict cache: a repeated check, clause pair or KB question alike, is
+answered at the root of its search and spends no node.  An
+EntailmentOracle keeps the formula of every clause it has compared and KB
+it has checked, so each is converted once; that dict holds no verdict.
+The clause of a KB check, often a one-off candidate, is converted for
+that check alone.  The caller owns the oracle and the tableau under it
+and, through Tableau(node_budget=N), the node budget of every check.
+Every entry point takes an oracle; one called without builds a fresh
+oracle over a fresh Tableau for that call alone, so no verdict or budget
+outcome carries over between calls the caller did not tie together.
 """
 
 from __future__ import annotations
@@ -103,18 +102,17 @@ class PicResult:
 
 
 class EntailmentOracle:
-    """Clause- and KB-level entailment over a tableau, caching clause pairs.
+    """Clause- and KB-level entailment over a tableau.
 
-    Without a tableau it builds its own; the pair cache lives as long as
-    the oracle, and every check runs under that tableau's node budget.
-    Each clause given to clause_entails, and each KB given to
-    is_implicate, is converted to a formula once per oracle: the
-    conversions live as long as the pair cache and hold no verdict.
+    Without a tableau it builds its own; every check runs under that
+    tableau's node budget, and its memo answers a repeated check at the
+    root, spending no node.  Each clause given to clause_entails, and each
+    KB given to is_implicate, is converted to a formula once per oracle:
+    the conversions live as long as the oracle and hold no verdict.
     """
 
     def __init__(self, tableau: Tableau | None = None):
         self.tableau = tableau if tableau is not None else Tableau()
-        self._pair_cache: dict = {}
         self._formulas: dict = {}  # clause or KB -> its formula
 
     def _formula(self, x, convert) -> Formula:
@@ -125,14 +123,9 @@ class EntailmentOracle:
 
     def clause_entails(self, d: Clause, c: Clause) -> bool:
         """True iff every pointed model of d satisfies c."""
-        key = (d, c)  # clauses are equal exactly when their canonical keys are
-        hit = self._pair_cache.get(key)
-        if hit is None:
-            hit = self.tableau.entails(
-                self._formula(d, clause_to_formula), self._formula(c, clause_to_formula)
-            )
-            self._pair_cache[key] = hit
-        return hit
+        return self.tableau.entails(
+            self._formula(d, clause_to_formula), self._formula(c, clause_to_formula)
+        )
 
     def is_implicate(self, u: Cnf, c: Clause) -> bool:
         """True iff the knowledge base entails the clause; the tableau's memo answers repeats."""

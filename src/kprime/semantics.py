@@ -23,9 +23,9 @@ different query can still pass on a memo warmed by earlier ones.
 satisfiable and entails run the same search; only satisfiable turns an
 open branch into a model, and entails returns the bare verdict.  The
 memo is the only thing a Tableau keeps between searches, for as long as
-it lives; an EntailmentOracle over it adds its clause-pair verdicts and
-the formula of each clause and KB it has converted, for as long as the
-oracle lives.
+it lives, and the only verdict cache: an EntailmentOracle over it adds
+only the formula of each clause and KB it has converted, for as long as
+the oracle lives.
 
 A bounded enumeration of labeled tree models (duplicate-free up to
 isomorphism) serves as an independent ground truth for the tableau on
@@ -342,7 +342,7 @@ def enumerate_tree_models(vocab, depth: int, branching: int):
     most `branching` children, ordered as multisets so no two yielded trees
     are isomorphic as labeled trees.
     """
-    vocab = tuple(sorted(vocab))
+    vocab = tuple(sorted(set(vocab)))  # a repeated variable adds nothing
     for tree in _enumerate_trees(vocab, depth, branching):
         model = _tree_to_model(tree, vocab)
         yield model, model.root

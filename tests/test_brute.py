@@ -5,6 +5,7 @@ from kprime import (
     ClauseBudgetExceeded,
     PicConfig,
     enumerate_clauses,
+    enumerate_tree_models,
     make_cnf,
     prime_implicates,
     prime_implicates_brute,
@@ -76,6 +77,17 @@ def test_width_zero_space_is_the_empty_clause_at_any_depth():
     # no recursion down the depth: 900 levels would pass the stack
     for depth in (0, 1, 900):
         assert list(enumerate_clauses(("p",), depth, 0)) == [BOTTOM_CLAUSE]
+
+
+@pytest.mark.parametrize(
+    "enumerate_, repeated, once, bounds",
+    [(enumerate_clauses, ("q", "p", "q", "p"), ("p", "q"), (1, 2)),
+     # six names over three variables: the 33,671-clause space, not one over the cap
+     (enumerate_clauses, ("p", "q", "r") * 2, ("p", "q", "r"), (1, 2)),
+     (enumerate_tree_models, ("q", "p", "q", "p"), ("p", "q"), (1, 1))],
+)
+def test_a_repeated_variable_enumerates_once(enumerate_, repeated, once, bounds):
+    assert list(enumerate_(repeated, *bounds)) == list(enumerate_(once, *bounds))
 
 
 def test_enumeration_is_duplicate_free():

@@ -203,11 +203,17 @@ def test_is_implicate_examples(oracle):
     "text, entailed", [("<>(p & (~p | []r) & []r)", True), ("[]p", False)]
 )
 def test_repeated_is_implicate_is_answered_by_the_memo(oracle, text, entailed):
+    # a repeated check, of a KB or of a clause pair, is answered at the root
+    # of its search: the same verdict, no node spent and no memo entry added
     kb, c = example_kb(), cl(text)
-    assert oracle.is_implicate(kb, c) is entailed
-    memo_size = len(oracle.tableau._memo)
-    assert oracle.is_implicate(kb, c) is entailed
-    assert len(oracle.tableau._memo) == memo_size
+    d = cl("<>(p & []r)")  # entails the first clause, not []p
+    for check in (lambda: oracle.is_implicate(kb, c), lambda: oracle.clause_entails(d, c)):
+        assert check() is entailed
+        assert oracle.tableau._nodes > 0
+        memo_size = len(oracle.tableau._memo)
+        assert check() is entailed
+        assert len(oracle.tableau._memo) == memo_size
+        assert oracle.tableau._nodes == 0
 
 
 def test_oracle_converts_each_clause_and_kb_once(monkeypatch):
@@ -239,17 +245,24 @@ def test_oracle_converts_each_clause_and_kb_once(monkeypatch):
                           for c in clauses]
 
 
-def test_brute_prime_implicates_of_two_overlapping_boxes():
+def test_brute_prime_implicates_of_two_overlapping_boxes(monkeypatch):
     # the KB of the covering gap: the reference finds the prime implicate
     # []p | <>(q & r) that no compiled clause covers
     kb = make_cnf([cl("[](p | q)"), cl("[](p | r)")])
     oracle = EntailmentOracle()
+    compared = set()
+    clause_entails = oracle.clause_entails
+
+    def recording(d, c):
+        compared.update((d, c))
+        return clause_entails(d, c)
+
+    monkeypatch.setattr(oracle, "clause_entails", recording)
     pi = prime_implicates_brute(kb, ("p", "q", "r"), 1, 2, oracle)
     assert [str(c) for c in sorted(pi, key=clause_order)] == [
         "[](p | q)", "[](p | r)", "([]p | <>(q & r))"]
     # the oracle keeps the formulas of the KB and of the implicates the
     # residue compared, not of all 33,671 candidates it checked
-    compared = {c for pair in oracle._pair_cache for c in pair}
     assert set(oracle._formulas) == {kb} | compared
 
 
