@@ -66,9 +66,15 @@ def _clause_space(vocab: tuple, depth: int, width: int) -> tuple:
         below = _clause_space(vocab, depth - 1, width)
         pool += (box(c) for c in below)
         nonbottom = [c for c in below if not c.is_bottom]
-        for k in range(1, width + 1):
+        # combinations(xs, k) for k past len(xs) yields nothing but still
+        # allocates k indices, so bound k by the pool as _space_size does
+        for k in range(1, min(width, len(nonbottom)) + 1):
             pool += (diamond(frozenset(combo)) for combo in combinations(nonbottom, k))
-    out = [disjoin(*combo) for k in range(width + 1) for combo in combinations(pool, k)]
+    out = [
+        disjoin(*combo)
+        for k in range(min(width, len(pool)) + 1)
+        for combo in combinations(pool, k)
+    ]
     out.sort(key=clause_key)
     return tuple(out)
 

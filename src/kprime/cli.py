@@ -18,7 +18,7 @@ from .errors import BudgetExceeded, ParseError
 from .normalization import make_cnf
 from .parser import parse
 from .pic import PicConfig, clause_order, covering_implicate, prime_implicates
-from .selftest import run_all
+from .selftest import DEFAULT_SEED, run_all
 from .semantics import Tableau
 from .syntax import VAR_NAME, clause_to_json, clause_from_json
 
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_oracle)
 
     p = sub.add_parser("selftest", help="run the invariant suites")
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--quick", action="store_true", help="reduced trial counts")
     p.set_defaults(run=cmd_selftest)
 

@@ -1,13 +1,17 @@
 """Invariant suites: seeded random checks behind `kprime selftest` and the
 acceptance tests.
 
-Each suite returns a SuiteResult; zero failures is the bar everywhere.
-Each suite builds one EntailmentOracle (or one Tableau) and passes it to
-every compile, brute-force run and check it makes, so verdicts are reused
-within a suite and never across suites.  The raw-clause rewriter here
-applies the four simplification rules one redex at a time in random order,
-independently of the production simplifier, to check that every order
-lands on the same normal form.
+SUITES is the one table of suites: each row names a check and, for a
+seeded check, its full and quick sizes.  run_suite is the one runner: it
+seeds, times and wraps a check as a SuiteResult.  `kprime selftest` and the
+acceptance tests both run every row through it, with the same default seed
+and at full size, so they run exactly the same checks.  Zero failures is
+the bar everywhere.  Each check builds one EntailmentOracle (or one
+Tableau) and passes it to every compile, brute-force run and check it
+makes, so verdicts are reused within a suite and never across suites.  The
+raw-clause rewriter here applies the four simplification rules one redex
+at a time in random order, independently of the production simplifier, to
+check that every order lands on the same normal form.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .brute import enumerate_clauses, prime_implicates_brute, within_bounds
 from .cnf import single_clause, to_cnf
@@ -70,17 +75,6 @@ class SuiteResult:
         for msg in self.info:
             out += f"\n     note: {msg}"
         return out
-
-
-def _finish(name, failures, checked, start, info=()):
-    return SuiteResult(
-        name=name,
-        passed=not failures,
-        checked=checked,
-        seconds=time.perf_counter() - start,
-        failures=tuple(failures),
-        info=tuple(info),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +196,7 @@ def example_expected():
     return make_cnf(single_clause(parse(t)) for t in EXAMPLE_EXPECTED_TEXT)
 
 
-def suite_worked_example() -> SuiteResult:
+def check_worked_example():
     """Compile the three-clause example KB and check it against the published run.
 
     Hard requirements: convergence within ten stages and ten seconds, every
@@ -245,13 +239,11 @@ def suite_worked_example() -> SuiteResult:
         for c in only_exp:
             info.append(f"listed but not computed: {c}")
         info.append("sets differ textually; the oracle above is the arbiter")
-    return _finish("worked-example", failures, checked, start, info)
+    return checked, failures, info
 
 
-def suite_soundness(seed: int = 2024, kbs: int = 200) -> SuiteResult:
+def check_soundness(rng: random.Random, kbs: int):
     """Every clause out of one closure step or a compiled run is an implicate."""
-    start = time.perf_counter()
-    rng = random.Random(seed)
     failures = []
     checked = 0
     capped = 0
@@ -281,13 +273,11 @@ def suite_soundness(seed: int = 2024, kbs: int = 200) -> SuiteResult:
             if not oracle.is_implicate(kb, c):
                 failures.append(f"KB {i}: compiled clause not entailed: {c}")
     info = [f"{capped} runs hit a resource cap (closure still checked)"] if capped else []
-    return _finish("soundness", failures, checked, start, info)
+    return checked, failures, info
 
 
-def suite_covering_agreement(seed: int = 2025, kbs: int = 50) -> SuiteResult:
+def check_covering_agreement(rng: random.Random, kbs: int):
     """Compiled sets and brute-force sets cover each other at desk scale."""
-    start = time.perf_counter()
-    rng = random.Random(seed)
     failures = []
     checked = 0
     vocab = ("p", "q")
@@ -312,13 +302,11 @@ def suite_covering_agreement(seed: int = 2025, kbs: int = 50) -> SuiteResult:
             checked += 1
             if not any(oracle.clause_entails(b, d) for b in brute_out):
                 failures.append(f"KB {i}: compiled clause uncovered by brute set: {d}")
-    return _finish("covering-agreement", failures, checked, start)
+    return checked, failures, ()
 
 
-def suite_residue_contract(seed: int = 2026, sets: int = 500) -> SuiteResult:
+def check_residue_contract(rng: random.Random, sets: int):
     """Residue output is an antichain that covers its input, deterministically."""
-    start = time.perf_counter()
-    rng = random.Random(seed)
     failures = []
     checked = 0
     oracle = EntailmentOracle()
@@ -345,13 +333,11 @@ def suite_residue_contract(seed: int = 2026, sets: int = 500) -> SuiteResult:
         for c, witness in dropped:
             if not oracle.clause_entails(witness, c):
                 failures.append(f"set {i}: recorded witness does not entail {c}")
-    return _finish("residue-contract", failures, checked, start)
+    return checked, failures, ()
 
 
-def suite_simplification(seed: int = 2027, clauses: int = 1000) -> SuiteResult:
+def check_simplification(rng: random.Random, clauses: int):
     """Idempotence, rule exhaustion, order-independence, semantic equivalence."""
-    start = time.perf_counter()
-    rng = random.Random(seed)
     failures = []
     checked = 0
     tableau = Tableau()
@@ -376,13 +362,11 @@ def suite_simplification(seed: int = 2027, clauses: int = 1000) -> SuiteResult:
             f_nf = clause_to_formula(nf)
             if not (tableau.entails(f_raw, f_nf) and tableau.entails(f_nf, f_raw)):
                 failures.append(f"clause {i}: simplify changed the meaning")
-    return _finish("simplification", failures, checked, start)
+    return checked, failures, ()
 
 
-def suite_oracle_cross_validation(seed: int = 2028, formulas: int = 500) -> SuiteResult:
-    """Tableau verdicts match the bounded tree-model enumeration."""
-    start = time.perf_counter()
-    rng = random.Random(seed)
+def check_oracle_cross_validation(rng: random.Random, formulas: int):
+    """Tableau verdicts match the bounded tree-model enumeration; witnesses are re-checked."""
     failures = []
     checked = 0
     tableau = Tableau()
@@ -403,13 +387,11 @@ def suite_oracle_cross_validation(seed: int = 2028, formulas: int = 500) -> Suit
             failures.append(
                 f"formula {i}: tableau says {verdict.satisfiable}, enumeration says {found}"
             )
-    return _finish("oracle-cross-validation", failures, checked, start)
+    return checked, failures, ()
 
 
-def suite_query_agreement(seed: int = 2029, kbs: int = 20) -> SuiteResult:
-    """Answering from the compiled set equals entailment from the KB."""
-    start = time.perf_counter()
-    rng = random.Random(seed)
+def check_query_agreement(rng: random.Random, kbs: int):
+    """Compiled answers equal direct entailment over the whole bounded query space."""
     failures = []
     checked = 0
     vocab = ("p", "q")
@@ -433,13 +415,16 @@ def suite_query_agreement(seed: int = 2029, kbs: int = 20) -> SuiteResult:
                     f"KB {i}: query {q}: compiled={compiled} direct={direct}"
                 )
                 if len(failures) > MAX_REPORTED_FAILURES:
-                    return _finish("query-agreement", failures, checked, start)
-    return _finish("query-agreement", failures, checked, start)
+                    return checked, failures, ()
+    return checked, failures, ()
 
 
-def suite_budget_mechanisms() -> SuiteResult:
-    """Every resource cap exists and fails loudly, never silently."""
-    start = time.perf_counter()
+def check_budget_mechanisms():
+    """Every resource cap exists and fails loudly, never silently.
+
+    The paper's exponential-growth claims are represented by these
+    configurable caps; measuring the growth is out of scope at desk scale.
+    """
     failures = []
     checked = 0
 
@@ -481,37 +466,53 @@ def suite_budget_mechanisms() -> SuiteResult:
         checked += 1
         if e.stage is None:
             failures.append("budget error does not report the stage reached")
-    return _finish("budget-mechanisms", failures, checked, start)
+    return checked, failures, ()
 
 
-ALL_SUITES = (
-    ("worked-example", lambda seed, quick: suite_worked_example()),
-    ("soundness", lambda seed, quick: suite_soundness(seed, 20 if quick else 200)),
-    (
-        "covering-agreement",
-        lambda seed, quick: suite_covering_agreement(seed, 5 if quick else 50),
-    ),
-    (
-        "residue-contract",
-        lambda seed, quick: suite_residue_contract(seed, 50 if quick else 500),
-    ),
-    (
-        "simplification",
-        lambda seed, quick: suite_simplification(seed, 100 if quick else 1000),
-    ),
-    (
-        "oracle-cross-validation",
-        lambda seed, quick: suite_oracle_cross_validation(seed, 50 if quick else 500),
-    ),
-    (
-        "query-agreement",
-        lambda seed, quick: suite_query_agreement(seed, 3 if quick else 20),
-    ),
-    ("budget-mechanisms", lambda seed, quick: suite_budget_mechanisms()),
+# ---------------------------------------------------------------------------
+# The suite table and its runner
+
+
+DEFAULT_SEED = 2024
+
+
+class Suite(NamedTuple):
+    """A row of SUITES.  A seeded check is called as check(rng, size), at
+    `full` size or, under --quick, at `quick`; a fixed check has no sizes
+    and is called as check().  Both return (checked, failures, info)."""
+
+    name: str
+    check: Callable
+    full: int | None = None
+    quick: int | None = None
+
+
+SUITES = (
+    Suite("worked-example", check_worked_example),
+    Suite("soundness", check_soundness, full=200, quick=20),
+    Suite("covering-agreement", check_covering_agreement, full=50, quick=5),
+    Suite("residue-contract", check_residue_contract, full=500, quick=50),
+    Suite("simplification", check_simplification, full=1000, quick=100),
+    Suite("oracle-cross-validation", check_oracle_cross_validation, full=500, quick=50),
+    Suite("query-agreement", check_query_agreement, full=20, quick=3),
+    Suite("budget-mechanisms", check_budget_mechanisms),
 )
 
 
-def run_all(seed: int = 2024, quick: bool = False):
-    """Run every suite; yields results as they finish."""
-    for offset, (_, runner) in enumerate(ALL_SUITES):
-        yield runner(seed + offset, quick)
+def run_suite(suite: Suite, seed: int = DEFAULT_SEED, quick: bool = False) -> SuiteResult:
+    """Run one row of SUITES.  The k-th seeded row in table order (k from 0)
+    draws from random.Random(seed + k); fixed rows take no seed."""
+    start = time.perf_counter()
+    args = ()
+    if suite.full is not None:
+        k = [s for s in SUITES if s.full is not None].index(suite)
+        args = (random.Random(seed + k), suite.quick if quick else suite.full)
+    checked, failures, info = suite.check(*args)
+    seconds = time.perf_counter() - start
+    return SuiteResult(suite.name, not failures, checked, seconds, tuple(failures), tuple(info))
+
+
+def run_all(seed: int = DEFAULT_SEED, quick: bool = False):
+    """Run every row of SUITES in order; yields results as they finish."""
+    for suite in SUITES:
+        yield run_suite(suite, seed, quick)

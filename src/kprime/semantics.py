@@ -14,9 +14,11 @@ A Tableau owns its node budget and its memo of finished verdicts: every
 search through it, an EntailmentOracle's included, runs under that budget,
 and the Tableau counts each search's nodes itself.  A node's formula set is
 built from sets that already hold their members' hashes, so each formula is
-hashed once when it joins a set, not again at every node below; a search
-computes the sort key of each distinct subformula at most once, and none
-where only one formula is left to choose from.
+hashed once when it joins a set, not again at every node below.  A search
+keeps the sort key of each formula object it orders, for that search only,
+and computes none where only one formula is left to choose from; the
+recursion inside formula_sort_key does not consult that table, so the key
+of a subformula nested in a larger one may be computed again.
 A search that fails on the budget or the stack leaves the memo as it found
 it, so the same query repeats its error; memo hits cost no nodes, so a
 different query can still pass on a memo warmed by earlier ones.
@@ -179,8 +181,9 @@ class Tableau:
     node_budget, the only tableau budget, caps the nodes of each search;
     the tableau counts the nodes of its current search itself, so it runs
     one search at a time.  The cache only stores finished verdicts for
-    formula sets.  A search hashes each formula as it joins a set and
-    computes each distinct subformula's sort key at most once.
+    formula sets.  A search hashes each formula as it joins a set and keeps
+    the sort key of each formula object it orders, but not of the
+    subformulas formula_sort_key recurses into.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):

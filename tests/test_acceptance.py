@@ -1,69 +1,20 @@
-"""Acceptance gate: every criterion at its stated scale and tolerance.
+"""Acceptance gate: every criterion at its stated scale, with zero tolerance.
 
-Each test prints one pass/fail line (run with -s to see them live).  The
-suites behind these tests are the same ones `kprime selftest` executes.
+Criterion n is row n of the suite table, run through the same runner, at
+full size and under the default seed, as `kprime selftest` runs it.  Each
+test prints one pass/fail line (run with -s to see them live).
 """
 
-from kprime.selftest import (
-    suite_budget_mechanisms,
-    suite_covering_agreement,
-    suite_oracle_cross_validation,
-    suite_query_agreement,
-    suite_residue_contract,
-    suite_simplification,
-    suite_soundness,
-    suite_worked_example,
+import pytest
+
+from kprime.selftest import SUITES, run_suite
+
+
+@pytest.mark.parametrize(
+    "suite", SUITES, ids=[f"{n}-{suite.name}" for n, suite in enumerate(SUITES, 1)]
 )
-
-
-def _gate(result):
+def test_criterion(suite):
+    result = run_suite(suite)
     print()
     print(result.line())
     assert result.passed, "\n".join(result.failures)
-
-
-def test_criterion_1_worked_example_reproduction():
-    # converges within 10 iterations and 10 seconds; the published set and
-    # the computed set cover each other, with the oracle arbitrating
-    # hand-computation slips and any textual diff reported
-    _gate(suite_worked_example())
-
-
-def test_criterion_2_soundness_200_random_kbs():
-    # every clause out of closure steps and compiled runs is an implicate;
-    # zero tolerance
-    _gate(suite_soundness(seed=2024, kbs=200))
-
-
-def test_criterion_3_covering_50_random_kbs():
-    # compiled output and bounded brute force cover each other; zero tolerance
-    _gate(suite_covering_agreement(seed=2025, kbs=50))
-
-
-def test_criterion_4_residue_contract_500_sets():
-    # antichain + covering + determinism; zero tolerance
-    _gate(suite_residue_contract(seed=2026, sets=500))
-
-
-def test_criterion_5_simplification_1000_clauses():
-    # idempotence, rule exhaustion, randomized-order confluence, semantic
-    # equivalence; zero tolerance
-    _gate(suite_simplification(seed=2027, clauses=1000))
-
-
-def test_criterion_6_oracle_cross_validation_500_formulas():
-    # tableau verdicts equal bounded tree-model enumeration; witnesses
-    # re-checked; zero tolerance
-    _gate(suite_oracle_cross_validation(seed=2028, formulas=500))
-
-
-def test_criterion_7_query_agreement_20_kbs():
-    # compiled answers equal direct entailment over the whole bounded
-    # query space; zero tolerance
-    _gate(suite_query_agreement(seed=2029, kbs=20))
-
-
-def test_criterion_8_budget_mechanisms_cover_complexity_claims():
-    # the exponential-growth claims are represented by configurable caps
-    # that fail loudly; measurements are out of scope at desk scale
-    _gate(suite_budget_mechanisms())

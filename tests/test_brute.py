@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from kprime import (
@@ -77,6 +79,24 @@ def test_width_zero_space_is_the_empty_clause_at_any_depth():
     # no recursion down the depth: 900 levels would pass the stack
     for depth in (0, 1, 900):
         assert list(enumerate_clauses(("p",), depth, 0)) == [BOTTOM_CLAUSE]
+
+
+def test_clause_space_never_asks_for_more_components_than_its_pool(monkeypatch):
+    # combinations(xs, r) with r past len(xs) yields nothing but allocates r
+    # indices, so a huge width would cost time quadratic in the width
+    calls = []
+
+    def bounded(pool, r):
+        pool = list(pool)
+        assert r <= len(pool)
+        calls.append(r)
+        return combinations(pool, r)
+
+    monkeypatch.setattr("kprime.brute.combinations", bounded)
+    # p at depth 1 has 13 components, so every width from 13 up is the same space
+    assert len(list(enumerate_clauses(("p",), 1, 10**6))) == 2**13
+    assert calls
+    assert list(enumerate_clauses(("p",), 1, 10**6)) == list(enumerate_clauses(("p",), 1, 13))
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from kprime import selftest
 from kprime.cli import main
 from kprime.generators import random_clause, random_formula, random_kb
 from kprime.parser import render
-from kprime.selftest import ALL_SUITES
 from kprime.syntax import clause_from_json, clause_to_json
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "example.k"
@@ -204,8 +204,28 @@ def test_syntax_error_exits_two(tmp_path, capsys):
 def test_selftest_quick_passes_every_suite(capsys):
     code, out, err = run_cli(capsys, "selftest", "--quick")
     assert code == 0, out
-    assert out.count("PASS ") == len(ALL_SUITES) and "FAIL" not in out
+    assert out.count("PASS ") == len(selftest.SUITES) and "FAIL" not in out
     assert err == ""
+
+
+def test_selftest_seeds_only_seeded_suites_in_table_order(monkeypatch, capsys):
+    # the k-th seeded suite draws from seed + k; fixed suites do not count
+    def draw(rng, size):
+        return rng.randrange(10**9), [], ()
+
+    def fixed():
+        return 0, [], ()
+
+    monkeypatch.setattr(selftest, "SUITES", (
+        selftest.Suite("a", fixed),
+        selftest.Suite("b", draw, full=1, quick=1),
+        selftest.Suite("c", fixed),
+        selftest.Suite("d", draw, full=1, quick=1),
+    ))
+    code, out, _ = run_cli(capsys, "selftest", "--seed", "7")
+    draws = [int(line.split()[2]) for line in out.splitlines()]
+    assert code == 0
+    assert draws == [0, random.Random(7).randrange(10**9), 0, random.Random(8).randrange(10**9)]
 
 
 def test_unknown_flag_exits_two(capsys):
