@@ -16,11 +16,14 @@ one reuses the equal literal, box and diamond parts the dict holds.
 Clause-to-clause entailment rides on the tableau, whose memo is the one
 verdict cache: a repeated check, clause pair or KB question alike, is
 answered at the root of its search and spends no node.  An
-EntailmentOracle keeps the formula of every clause it has compared and KB
-it has checked, so each is converted once; that dict holds no verdict.
-The clause of a KB check, often a one-off candidate, is converted for
-that check alone.  The caller owns the oracle and the tableau under it
-and, through Tableau(node_budget=N), the node budget of every check.
+EntailmentOracle keeps the formula of every clause it has compared as the
+stronger side and KB it has checked, and the negation normal form of the
+negation of every clause it has compared as the weaker side, so each is
+converted once and a check starts its search from these without another
+conversion; neither dict holds a verdict.  The clause of a KB check, often a one-off
+candidate, is converted for that check alone.  The caller owns the oracle
+and the tableau under it and, through Tableau(node_budget=N), the node
+budget of every check.
 Every entry point takes an oracle; one called without builds a fresh
 oracle over a fresh Tableau for that call alone, so no verdict or budget
 outcome carries over between calls the caller did not tie together.
@@ -36,11 +39,13 @@ from .resolution import closure_step_traced
 from .semantics import Tableau
 from .syntax import (
     EMPTY,
+    And,
     Clause,
     Cnf,
     Formula,
     clause_key,
     clause_length,
+    clause_negation,
     clause_to_formula,
     clause_to_json,
     cnf_to_formula,
@@ -106,31 +111,38 @@ class EntailmentOracle:
 
     Without a tableau it builds its own; every check runs under that
     tableau's node budget, and its memo answers a repeated check at the
-    root, spending no node.  Each clause given to clause_entails, and each
-    KB given to is_implicate, is converted to a formula once per oracle:
-    the conversions live as long as the oracle and hold no verdict.
+    root, spending no node.  Each clause clause_entails tests as the
+    stronger side, and each KB given to is_implicate, is converted to a
+    formula once per oracle, and each clause clause_entails tests as the
+    weaker side to the negation normal form of its negation.  Both are in
+    negation normal form, so a check searches their conjunction as it
+    stands.  The conversions live as long as the oracle and hold no
+    verdict.
     """
 
     def __init__(self, tableau: Tableau | None = None):
         self.tableau = tableau if tableau is not None else Tableau()
         self._formulas: dict = {}  # clause or KB -> its formula
-
-    def _formula(self, x, convert) -> Formula:
-        f = self._formulas.get(x)
-        if f is None:
-            f = self._formulas[x] = convert(x)
-        return f
+        self._negations: dict = {}  # clause -> clause_negation of it
 
     def clause_entails(self, d: Clause, c: Clause) -> bool:
         """True iff every pointed model of d satisfies c."""
-        return self.tableau.entails(
-            self._formula(d, clause_to_formula), self._formula(c, clause_to_formula)
-        )
+        return self.tableau.refutes(And(_kept(self._formulas, d, clause_to_formula),
+                                        _kept(self._negations, c, clause_negation)))
 
     def is_implicate(self, u: Cnf, c: Clause) -> bool:
         """True iff the knowledge base entails the clause; the tableau's memo answers repeats."""
-        f = self._formulas.get(c) or clause_to_formula(c)  # kept only by clause_entails
-        return self.tableau.entails(self._formula(u, cnf_to_formula), f)
+        # kept only by clause_entails; a one-off candidate is converted for this check alone
+        n = self._negations.get(c) or clause_negation(c)
+        return self.tableau.refutes(And(_kept(self._formulas, u, cnf_to_formula), n))
+
+
+def _kept(table: dict, x, convert) -> Formula:
+    """convert(x), made once: table keeps it for every later call."""
+    f = table.get(x)
+    if f is None:
+        f = table[x] = convert(x)
+    return f
 
 
 def clause_order(c: Clause):

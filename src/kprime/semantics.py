@@ -13,21 +13,26 @@ world set itself.
 A Tableau owns its node budget and its memo of finished verdicts: every
 search through it, an EntailmentOracle's included, runs under that budget,
 and the Tableau counts each search's nodes itself.  A node's formula set is
-built from sets that already hold their members' hashes, so each formula is
-hashed once when it joins a set, not again at every node below.  A search
-keeps the sort key of each formula object it orders, for that search only,
-and computes none where only one formula is left to choose from; the
-recursion inside formula_sort_key does not consult that table, so the key
-of a subformula nested in a larger one may be computed again.
+built from sets that already hold their members' hashes, but a formula
+does not keep its own: each one the search adds to a set is hashed again
+in full, recursively.  Every conjunction split re-hashes both of its
+sides, so a right-nested conjunction is re-hashed once per split.  Only
+an interned tableau (ROADMAP direction 4) removes that, and it waits on
+the benchmark's RSS fix (direction 2).  A search keeps the sort key of every
+formula object it orders, and of every subformula formula_sort_key
+recurses into, for that search only, and computes none where only one
+formula is left to choose from.
 A search that fails on the budget or the stack leaves the memo as it found
 it, so the same query repeats its error; memo hits cost no nodes, so a
 different query can still pass on a memo warmed by earlier ones.
-satisfiable and entails run the same search; only satisfiable turns an
-open branch into a model, and entails returns the bare verdict.  The
-memo is the only thing a Tableau keeps between searches, for as long as
-it lives, and the only verdict cache: an EntailmentOracle over it adds
-only the formula of each clause and KB it has converted, for as long as
-the oracle lives.
+satisfiable, entails and refutes run the same search, from a root in
+negation normal form: satisfiable and entails convert their input, and
+refutes takes a root its caller has already converted.  Only satisfiable
+turns an open branch into a model; entails and refutes return the bare
+verdict.  The memo is the only thing a Tableau keeps between searches, for
+as long as it lives, and the only verdict cache: an EntailmentOracle over
+it adds only the formulas it has converted, for as long as the oracle
+lives.
 
 A bounded enumeration of labeled tree models (duplicate-free up to
 isomorphism) serves as an independent ground truth for the tableau on
@@ -181,9 +186,8 @@ class Tableau:
     node_budget, the only tableau budget, caps the nodes of each search;
     the tableau counts the nodes of its current search itself, so it runs
     one search at a time.  The cache only stores finished verdicts for
-    formula sets.  A search hashes each formula as it joins a set and keeps
-    the sort key of each formula object it orders, but not of the
-    subformulas formula_sort_key recurses into.
+    formula sets.  A search computes the sort key of each formula object
+    it orders, subformulas included, at most once.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -202,7 +206,7 @@ class Tableau:
         the interpreter's stack allows; either way the memo is left as the
         search found it, also when building the model runs out of stack.
         """
-        return self._search(f, lambda tree: _sat_result(tree, f))
+        return self._search(nnf(f), lambda tree: _sat_result(tree, f))
 
     def entails(self, f: Formula, g: Formula) -> bool:
         """Local consequence: every pointed model of f satisfies g.
@@ -210,17 +214,28 @@ class Tableau:
         The same search as satisfiable(And(f, Not(g))), with its errors,
         but it builds no model: only the verdict is returned.
         """
-        return self._search(And(f, Not(g)), _closed)
+        return self.refutes(nnf(And(f, Not(g))))
 
-    def _search(self, f: Formula, verdict):
-        """verdict(tree) of one search from f; tree is None when f is unsatisfiable.
+    def refutes(self, root: Formula) -> bool:
+        """True iff root, already in negation normal form, is unsatisfiable.
 
+        The same search as satisfiable(root), with its errors, but with no
+        conversion to negation normal form and no model.  A negation of
+        anything but a variable or bot that the search meets raises
+        TypeError.
+        """
+        return self._search(root, _closed)
+
+    def _search(self, root: Formula, verdict):
+        """verdict(tree) of one search from root, in negation normal form;
+        tree is None when root is unsatisfiable.
+
+        root keeps every formula the search orders, and so its id, alive.
         verdict runs inside the search, so a budget or depth error it raises
         rolls the memo back like one from the search itself.
         """
         memo_size = len(self._memo)
         self._nodes = 0
-        root = nnf(f)  # keeps every formula the search orders, and so its id, alive
         try:
             return verdict(self._solve((root,)))
         except (TableauBudgetExceeded, RecursionDepthExceeded, RecursionError) as e:
@@ -235,10 +250,7 @@ class Tableau:
             self._sort_keys.clear()
 
     def _sort_key(self, f: Formula):
-        key = self._sort_keys.get(id(f))
-        if key is None:
-            key = self._sort_keys[id(f)] = formula_sort_key(f)
-        return key
+        return formula_sort_key(f, self._sort_keys)
 
     def _least(self, formulas: list) -> Formula:
         """The first of the formulas in formula_sort_key order; a lone one needs no key."""

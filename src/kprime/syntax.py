@@ -215,26 +215,40 @@ def variables(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def formula_sort_key(f: Formula):
-    """Total order over formulas, used for deterministic iteration."""
+def formula_sort_key(f: Formula, keys: dict | None = None):
+    """Total order over formulas, used for deterministic iteration.
+
+    keys, if given, maps id(node) to the node's key: it answers every node
+    it holds, f and the subformulas the recursion visits alike, and gains
+    every node it did not hold.  The caller keeps those nodes alive for as
+    long as it keeps the table.
+    """
+    if keys is not None:
+        key = keys.get(id(f))
+        if key is not None:
+            return key
     try:
         if isinstance(f, Var):
-            return (0, f.name)
-        if isinstance(f, Bottom):
-            return (1,)
-        if isinstance(f, Not):
-            return (2, formula_sort_key(f.body))
-        if isinstance(f, And):
-            return (3, formula_sort_key(f.left), formula_sort_key(f.right))
-        if isinstance(f, Or):
-            return (4, formula_sort_key(f.left), formula_sort_key(f.right))
-        if isinstance(f, Diamond):
-            return (5, formula_sort_key(f.body))
-        if isinstance(f, Box):
-            return (6, formula_sort_key(f.body))
+            key = (0, f.name)
+        elif isinstance(f, Bottom):
+            key = (1,)
+        elif isinstance(f, Not):
+            key = (2, formula_sort_key(f.body, keys))
+        elif isinstance(f, And):
+            key = (3, formula_sort_key(f.left, keys), formula_sort_key(f.right, keys))
+        elif isinstance(f, Or):
+            key = (4, formula_sort_key(f.left, keys), formula_sort_key(f.right, keys))
+        elif isinstance(f, Diamond):
+            key = (5, formula_sort_key(f.body, keys))
+        elif isinstance(f, Box):
+            key = (6, formula_sort_key(f.body, keys))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
     except RecursionError:
         raise RecursionDepthExceeded("formula nested too deep to order") from None
-    raise TypeError(f"not a formula: {f!r}")
+    if keys is not None:
+        keys[id(f)] = key
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +396,20 @@ def _in_order(part, key):
     return sorted(part, key=key) if len(part) > 1 else part
 
 
+def _fold(op, parts: list) -> Formula:
+    """The parts joined by op, nested to the right: op(a, op(b, c))."""
+    out = parts[-1]
+    for part in reversed(parts[:-1]):
+        out = op(part, out)
+    return out
+
+
 def clause_to_formula(c: Clause) -> Formula:
-    """Clause rendered back into the plain formula syntax (deterministic shape)."""
+    """Clause rendered back into the plain formula syntax (deterministic shape).
+
+    The result is in negation normal form: ~ stands only on variables and
+    on bot.
+    """
     if c.is_bottom:
         return BOT
     disjuncts = [l.to_formula() for l in _in_order(c.literals, literal_sort_key)]
@@ -392,21 +418,38 @@ def clause_to_formula(c: Clause) -> Formula:
         disjuncts += [Diamond(cnf_to_formula(s)) for s in _in_order(c.diamonds, cnf_key)]
     except RecursionError:
         raise RecursionDepthExceeded("clause nested too deep to convert") from None
-    out = disjuncts[-1]
-    for d in reversed(disjuncts[:-1]):
-        out = Or(d, out)
-    return out
+    return _fold(Or, disjuncts)
 
 
 def cnf_to_formula(s: Cnf) -> Formula:
     """Conjunction of the member clauses; the empty set renders as ~bot."""
     if not s:
         return TOP
-    members = [clause_to_formula(c) for c in _in_order(s, clause_key)]
-    out = members[-1]
-    for m in reversed(members[:-1]):
-        out = And(m, out)
-    return out
+    return _fold(And, [clause_to_formula(c) for c in _in_order(s, clause_key)])
+
+
+def clause_negation(c: Clause) -> Formula:
+    """The negation normal form of the clause's negation, in one pass.
+
+    Equal to cnf.nnf(Not(clause_to_formula(c))), built from the clause
+    without the formula: the dual connective and modality at every node,
+    each literal negated, and bot and ~bot swapped.
+    """
+    if c.is_bottom:
+        return TOP
+    conjuncts = [l.negate().to_formula() for l in _in_order(c.literals, literal_sort_key)]
+    try:
+        conjuncts += [Diamond(clause_negation(b)) for b in _in_order(c.boxes, clause_key)]
+        conjuncts += [Box(_cnf_negation(s)) for s in _in_order(c.diamonds, cnf_key)]
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to convert") from None
+    return _fold(And, conjuncts)
+
+
+def _cnf_negation(s: Cnf) -> Formula:
+    if not s:
+        return BOT
+    return _fold(Or, [clause_negation(c) for c in _in_order(s, clause_key)])
 
 
 # ---------------------------------------------------------------------------

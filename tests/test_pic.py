@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ from kprime import (
     BudgetExceeded,
     ClauseBudgetExceeded,
     EntailmentOracle,
+    Not,
     PicConfig,
     PicResult,
     RecursionDepthExceeded,
@@ -23,14 +25,17 @@ from kprime import (
     prime_implicates,
     residue_detailed,
 )
-from kprime import pic, resolution
-from kprime.brute import prime_implicates_brute
+from kprime import cnf, nnf, pic, resolution, semantics
+from kprime.brute import enumerate_clauses, prime_implicates_brute
 from kprime.generators import random_clause, random_kb
 from kprime.pic import clause_order, subsumes, subsumption_reduce
 from kprime.selftest import example_expected, example_kb
 from kprime.syntax import (
+    EMPTY,
+    Clause,
     clause_key,
     clause_length,
+    clause_negation,
     clause_to_formula,
     cnf_key,
     cnf_to_formula,
@@ -221,13 +226,13 @@ def test_oracle_converts_each_clause_and_kb_once(monkeypatch):
 
     def counted(convert):
         def wrapper(x):
-            converted[x] += 1
+            converted[convert.__name__, x] += 1
             return convert(x)
 
         return wrapper
 
-    monkeypatch.setattr(pic, "clause_to_formula", counted(pic.clause_to_formula))
-    monkeypatch.setattr(pic, "cnf_to_formula", counted(pic.cnf_to_formula))
+    for name in ("clause_to_formula", "cnf_to_formula", "clause_negation"):
+        monkeypatch.setattr(pic, name, counted(getattr(pic, name)))
     kb = example_kb()
     clauses = [cl(t) for t in ("p", "p | q", "[]p", "<>p", "[](p | q)", "r | <>(p & q)")]
     oracle = EntailmentOracle()
@@ -236,13 +241,98 @@ def test_oracle_converts_each_clause_and_kb_once(monkeypatch):
         implicates = [oracle.is_implicate(kb, c) for c in clauses]
         assert oracle.is_implicate(kb, cl("[][](~p | r)"))
     # a clause only is_implicate asks about is converted for each check
-    assert converted == Counter(clauses + [kb] + [cl("[][](~p | r)")] * 2)
+    assert converted == Counter(
+        [("clause_to_formula", c) for c in clauses] + [("cnf_to_formula", kb)]
+        + [("clause_negation", c) for c in clauses + [cl("[][](~p | r)")] * 2])
     # the verdicts of a direct check on a fresh tableau
     tableau = Tableau()
     assert pairs == [tableau.entails(clause_to_formula(d), clause_to_formula(c))
                      for d in clauses for c in clauses]
     assert implicates == [tableau.entails(cnf_to_formula(kb), clause_to_formula(c))
                           for c in clauses]
+
+
+def test_clause_formulas_are_already_in_nnf():
+    # the oracle searches a clause's formula, and a KB's, as it stands
+    rng = random.Random(21)
+    space = list(enumerate_clauses(("p", "q"), 1, 2))
+    assert len(space) == 2486
+    drawn = [random_clause(rng, ("p", "q", "r"), 2, 3) for _ in range(500)]
+    edge = [BOTTOM_CLAUSE, Clause(diamonds=frozenset([EMPTY]))]  # bot and <>~bot
+    for c in space + drawn + edge:
+        f = clause_to_formula(c)
+        assert nnf(f) == f
+        assert clause_negation(c) == nnf(Not(f))
+    assert nnf(cnf_to_formula(frozenset(drawn[:4]))) == cnf_to_formula(frozenset(drawn[:4]))
+    assert cnf_to_formula(EMPTY) == nnf(cnf_to_formula(EMPTY))
+
+
+def _seeded_pairs(seed, count):
+    rng = random.Random(seed)
+    return [tuple(random_clause(rng, ("p", "q"), 2, 2) for _ in range(2)) for _ in range(count)]
+
+
+def test_oracle_checks_equal_direct_entailment():
+    # the same search as Tableau.entails on the clauses' formulas: the same
+    # verdict, memo and node count after every check
+    oracle, direct = EntailmentOracle(Tableau()), Tableau()
+    for d, c in _seeded_pairs(22, 300):
+        assert oracle.clause_entails(d, c) == direct.entails(
+            clause_to_formula(d), clause_to_formula(c))
+        assert (len(oracle.tableau._memo), oracle.tableau._nodes) == (
+            len(direct._memo), direct._nodes)
+
+
+@pytest.mark.parametrize("nodes", [2, 4, 8])
+def test_oracle_checks_hit_the_budget_where_direct_entailment_does(nodes):
+    oracle, direct = EntailmentOracle(Tableau(node_budget=nodes)), Tableau(node_budget=nodes)
+    kinds = set()
+    for d, c in _seeded_pairs(23, 200):
+        outcomes = []
+        for check in (lambda: oracle.clause_entails(d, c),
+                      lambda: direct.entails(clause_to_formula(d), clause_to_formula(c))):
+            try:
+                outcomes.append(check())
+            except TableauBudgetExceeded as e:
+                outcomes.append(("budget", e.reached, e.limit))
+        assert outcomes[0] == outcomes[1]
+        kinds.add(type(outcomes[0]))
+    assert kinds == {bool, tuple}
+
+
+def test_oracle_checks_convert_nothing_per_check(monkeypatch):
+    kb = example_kb()
+    pi = prime_implicates(kb).sorted_implicates()
+    assert len(pi) > 2
+    q, fresh = cl("s"), cl("t")  # no compiled clause entails either
+    calls = Counter()
+
+    def counting(name, convert):
+        def wrapper(x):
+            calls[name] += 1
+            return convert(x)
+
+        return wrapper
+
+    monkeypatch.setattr(cnf, "nnf", counting("nnf", cnf.nnf))
+    monkeypatch.setattr(semantics, "nnf", counting("nnf", semantics.nnf))
+    for name in ("clause_to_formula", "clause_negation"):
+        monkeypatch.setattr(pic, name, counting(name, getattr(pic, name)))
+    oracle = EntailmentOracle()
+    assert covering_implicate(pi, q, oracle) is None
+    # each compiled clause is converted once, and the query negated once
+    assert calls == {"clause_to_formula": len(pi), "clause_negation": 1}
+    calls.clear()
+    assert covering_implicate(pi, q, oracle) is None
+    assert not calls
+    oracle.is_implicate(kb, pi[0])
+    tables = dict(oracle._formulas), dict(oracle._negations)
+    calls.clear()
+    # the query's negation is reused, a clause not yet negated is negated for
+    # its check alone, and the KB is not converted again
+    assert [oracle.is_implicate(kb, c) for c in (q, pi[1], fresh)] == [False, True, False]
+    assert calls == {"clause_negation": 2}
+    assert (oracle._formulas, oracle._negations) == tables
 
 
 def test_brute_prime_implicates_of_two_overlapping_boxes(monkeypatch):
@@ -261,9 +351,9 @@ def test_brute_prime_implicates_of_two_overlapping_boxes(monkeypatch):
     pi = prime_implicates_brute(kb, ("p", "q", "r"), 1, 2, oracle)
     assert [str(c) for c in sorted(pi, key=clause_order)] == [
         "[](p | q)", "[](p | r)", "([]p | <>(q & r))"]
-    # the oracle keeps the formulas of the KB and of the implicates the
+    # the oracle keeps the conversions of the KB and of the implicates the
     # residue compared, not of all 33,671 candidates it checked
-    assert set(oracle._formulas) == {kb} | compared
+    assert set(oracle._formulas) | set(oracle._negations) == {kb} | compared
 
 
 def test_fixpoint_stability():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kprime import (
@@ -15,10 +17,10 @@ from kprime import (
     parse,
     variables,
 )
-from kprime import semantics
-from kprime.generators import random_formula
+from kprime import semantics, syntax
+from kprime.generators import random_clause, random_formula
 from kprime.semantics import diamond_subformulas
-from kprime.syntax import modal_depth
+from kprime.syntax import clause_to_formula, modal_depth
 
 
 def _single_world(p_true=True):
@@ -80,6 +82,43 @@ def test_local_entails_matches_satisfiability(rng):
         assert verdict == (not by_satisfiable.satisfiable(And(a, Not(b))).satisfiable)
         assert (len(by_entails._memo), by_entails._nodes) == (
             len(by_satisfiable._memo), by_satisfiable._nodes)
+
+
+def test_refutes_takes_a_root_in_nnf(tableau):
+    p, q = Var("p"), Var("q")
+    assert tableau.refutes(And(p, Not(p)))
+    assert not tableau.refutes(And(Diamond(p), Box(Not(q))))
+    with pytest.raises(TypeError):
+        tableau.refutes(Not(And(p, q)))
+
+
+def test_a_search_computes_each_sort_key_once(monkeypatch):
+    # the search's key table answers every node it has keyed, subformulas
+    # the recursion reaches included
+    computed = []  # ids of the nodes keyed afresh in the current search
+    real = syntax.formula_sort_key
+
+    def counting(f, keys=None):
+        if keys is None or id(f) not in keys:
+            computed.append(id(f))
+        return real(f, keys)
+
+    monkeypatch.setattr(syntax, "formula_sort_key", counting)
+    monkeypatch.setattr(semantics, "formula_sort_key", counting)
+    rng = random.Random(7)
+    searched = 0
+    for _ in range(40):
+        clauses = [random_clause(rng, ("p", "q", "r", "s"), 2, 3) for _ in range(8)]
+        formula = clause_to_formula(clauses[-1])
+        for c in reversed(clauses[:-1]):
+            formula = And(clause_to_formula(c), formula)
+        Tableau().satisfiable(formula)
+        assert len(computed) == len(set(computed))
+        searched += len(computed)
+        computed.clear()
+    assert searched > 1000
+    f = parse("<>(p & q) | [](p & q) | ~r")
+    assert real(f, {}) == real(f)
 
 
 def test_entails_builds_no_model(monkeypatch, tableau):
@@ -189,6 +228,8 @@ def test_deep_nesting_is_a_budget_error(tableau):
         tableau.satisfiable(deep)
     with pytest.raises(RecursionDepthExceeded):
         tableau.entails(deep, Var("p"))
+    with pytest.raises(RecursionDepthExceeded):
+        tableau.refutes(deep)
 
 
 # (formula, satisfiable, memo entries and nodes of a cold search, model as

@@ -29,7 +29,16 @@ from kprime import (
     within_bounds,
 )
 from kprime.generators import random_clause, random_formula
-from kprime.syntax import BOTTOM_CLAUSE, TOP, Bottom, Clause, Or, clause_key, formula_sort_key
+from kprime.syntax import (
+    BOTTOM_CLAUSE,
+    TOP,
+    Bottom,
+    Clause,
+    Or,
+    clause_key,
+    clause_negation,
+    formula_sort_key,
+)
 
 from conftest import cl
 
@@ -134,6 +143,7 @@ DEEP_INPUT_CALLS = {
     "clause_from_json": lambda: clause_from_json(_deep_clause_json()),
     "clause_to_json": lambda: clause_to_json(_deep_clause()),
     "clause_to_formula": lambda: clause_to_formula(_deep_clause()),
+    "clause_negation": lambda: clause_negation(_deep_clause()),
     "closure_step_traced": lambda: closure_step_traced([_deep_clause()]),
     "str_clause": lambda: str(_deep_clause()),
     "model_check": lambda: model_check(_loop_model(), 0, _deep_formula()),
