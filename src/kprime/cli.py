@@ -20,7 +20,7 @@ from .parser import parse
 from .pic import PicConfig, clause_order, covering_implicate, prime_implicates
 from .selftest import DEFAULT_SEED, run_all
 from .semantics import Tableau
-from .syntax import VAR_NAME, clause_to_json, clause_from_json
+from .syntax import clause_from_json, clause_to_json, is_variable_name
 
 USAGE_ERROR, BUDGET_ERROR = 2, 3
 
@@ -48,10 +48,13 @@ def load_kb(path: str, whole_formula: bool = False):
     text = _read_file(path)
     stripped_lines = [line.split("#", 1)[0] for line in text.splitlines()]
     if whole_formula:
-        body = " ".join(line for line in stripped_lines if line.strip())
+        body = "\n".join(stripped_lines)
         if not body.strip():
             raise CliError(f"{path}: no formula found")
-        return to_cnf(parse(body))
+        try:
+            return to_cnf(parse(body))
+        except ParseError as e:
+            raise CliError(f"{path}: {e}") from e
     clauses = []
     for lineno, line in enumerate(stripped_lines, start=1):
         if not line.strip():
@@ -124,7 +127,7 @@ def cmd_oracle(args) -> int:
     if not vocab:
         raise CliError("--vars needs at least one variable name")
     for v in vocab:
-        if not VAR_NAME.fullmatch(v) or v == "bot":
+        if not is_variable_name(v):
             raise CliError(f"--vars: not a variable name: {v!r}")
     if args.depth < 0 or args.width < 0:
         raise CliError("--depth and --width must not be negative")

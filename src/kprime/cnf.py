@@ -1,6 +1,7 @@
 """Conversion of arbitrary formulas to sets of modal DNF clauses.
 
-The converter pushes negation to the leaves, then distributes directly:
+The converter pushes negation to the leaves, each connective and modality
+becoming its syntax.DUAL on the way, then distributes directly:
 disjunction multiplies clause sets, box distributes over the conjuncts of
 its body, and a diamond wraps its body's clause set as a single component.
 No renaming is performed: prime implicates are defined over the input
@@ -16,6 +17,7 @@ from __future__ import annotations
 from .errors import ClauseBudgetExceeded, RecursionDepthExceeded
 from .normalization import BOTTOM_CNF, box, conjoin, diamond, disjoin, literal
 from .syntax import (
+    DUAL,
     EMPTY,
     And,
     Bottom,
@@ -54,18 +56,12 @@ def _nnf(f: Formula, negated: bool, done: dict) -> Formula:
         out = Not(f) if negated else f
     elif isinstance(f, Not):
         out = _nnf(f.body, not negated, done)
-    elif isinstance(f, And):
-        a, b = _nnf(f.left, negated, done), _nnf(f.right, negated, done)
-        out = Or(a, b) if negated else And(a, b)
-    elif isinstance(f, Or):
-        a, b = _nnf(f.left, negated, done), _nnf(f.right, negated, done)
-        out = And(a, b) if negated else Or(a, b)
-    elif isinstance(f, Diamond):
-        body = _nnf(f.body, negated, done)
-        out = Box(body) if negated else Diamond(body)
-    elif isinstance(f, Box):
-        body = _nnf(f.body, negated, done)
-        out = Diamond(body) if negated else Box(body)
+    elif isinstance(f, (And, Or)):
+        op = DUAL[type(f)] if negated else type(f)
+        out = op(_nnf(f.left, negated, done), _nnf(f.right, negated, done))
+    elif isinstance(f, (Diamond, Box)):
+        op = DUAL[type(f)] if negated else type(f)
+        out = op(_nnf(f.body, negated, done))
     else:
         raise TypeError(f"not a formula: {f!r}")
     done[key] = out

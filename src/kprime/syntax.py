@@ -12,7 +12,8 @@ Every empty part of every clause is the one frozenset EMPTY (CPython does
 not share empty frozensets), so a clause costs no more than its nonempty
 parts: the Clause constructor stores any empty part it is given as EMPTY.
 The recursive walkers raise RecursionDepthExceeded on input nested deeper
-than the interpreter's stack allows.
+than the interpreter's stack allows.  Negation turns each connective and
+modality into its DUAL, the one table that cnf.nnf and the clause walker read.
 """
 
 from __future__ import annotations
@@ -157,6 +158,12 @@ class Box(Formula):
 BOT = Bottom()
 TOP = Not(BOT)  # no primitive verum; ~bot plays that role
 VAR_NAME = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")  # variable names; 'bot' is reserved
+DUAL = {And: Or, Or: And, Box: Diamond, Diamond: Box}  # each one under negation
+
+
+def is_variable_name(name) -> bool:
+    """Whether name is a string that names a variable: VAR_NAME, not 'bot'."""
+    return isinstance(name, str) and VAR_NAME.fullmatch(name) is not None and name != "bot"
 
 
 def length(f: Formula) -> int:
@@ -215,18 +222,17 @@ def variables(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def formula_sort_key(f: Formula, keys: dict | None = None):
+def formula_sort_key(f: Formula, keys: dict):
     """Total order over formulas, used for deterministic iteration.
 
-    keys, if given, maps id(node) to the node's key: it answers every node
-    it holds, f and the subformulas the recursion visits alike, and gains
-    every node it did not hold.  The caller keeps those nodes alive for as
-    long as it keeps the table.
+    keys maps id(node) to the node's key: it answers every node it holds,
+    f and the subformulas the recursion visits alike, and gains every node
+    it did not hold.  The caller keeps those nodes alive for as long as it
+    keeps the table.
     """
-    if keys is not None:
-        key = keys.get(id(f))
-        if key is not None:
-            return key
+    key = keys.get(id(f))
+    if key is not None:
+        return key
     try:
         if isinstance(f, Var):
             key = (0, f.name)
@@ -246,8 +252,7 @@ def formula_sort_key(f: Formula, keys: dict | None = None):
             raise TypeError(f"not a formula: {f!r}")
     except RecursionError:
         raise RecursionDepthExceeded("formula nested too deep to order") from None
-    if keys is not None:
-        keys[id(f)] = key
+    keys[id(f)] = key
     return key
 
 
@@ -262,10 +267,6 @@ class Literal:
 
     def negate(self) -> Literal:
         return Literal(self.variable, not self.positive)
-
-    def to_formula(self) -> Formula:
-        v = Var(self.variable)
-        return v if self.positive else Not(v)
 
     def __str__(self):
         return self.variable if self.positive else "~" + self.variable
@@ -404,52 +405,51 @@ def _fold(op, parts: list) -> Formula:
     return out
 
 
+def _clause_nnf(c: Clause, negated: bool) -> Formula:
+    """The clause as a formula or, negated, the NNF of its negation (each part DUAL)."""
+    if c.is_bottom:
+        return TOP if negated else BOT
+    join, box, diamond = (DUAL[Or], DUAL[Box], DUAL[Diamond]) if negated else (Or, Box, Diamond)
+    parts = [Var(l.variable) if l.positive != negated else Not(Var(l.variable))
+             for l in _in_order(c.literals, literal_sort_key)]
+    try:  # loops: a comprehension would build a closure over negated per call
+        for b in _in_order(c.boxes, clause_key):
+            parts.append(box(_clause_nnf(b, negated)))
+        for s in _in_order(c.diamonds, cnf_key):
+            parts.append(diamond(_cnf_nnf(s, negated)))
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to convert") from None
+    return _fold(join, parts)
+
+
+def _cnf_nnf(s: Cnf, negated: bool) -> Formula:
+    if not s:
+        return BOT if negated else TOP
+    join = DUAL[And] if negated else And
+    return _fold(join, [_clause_nnf(c, negated) for c in _in_order(s, clause_key)])
+
+
 def clause_to_formula(c: Clause) -> Formula:
     """Clause rendered back into the plain formula syntax (deterministic shape).
 
     The result is in negation normal form: ~ stands only on variables and
     on bot.
     """
-    if c.is_bottom:
-        return BOT
-    disjuncts = [l.to_formula() for l in _in_order(c.literals, literal_sort_key)]
-    try:
-        disjuncts += [Box(clause_to_formula(b)) for b in _in_order(c.boxes, clause_key)]
-        disjuncts += [Diamond(cnf_to_formula(s)) for s in _in_order(c.diamonds, cnf_key)]
-    except RecursionError:
-        raise RecursionDepthExceeded("clause nested too deep to convert") from None
-    return _fold(Or, disjuncts)
+    return _clause_nnf(c, False)
 
 
 def cnf_to_formula(s: Cnf) -> Formula:
     """Conjunction of the member clauses; the empty set renders as ~bot."""
-    if not s:
-        return TOP
-    return _fold(And, [clause_to_formula(c) for c in _in_order(s, clause_key)])
+    return _cnf_nnf(s, False)
 
 
 def clause_negation(c: Clause) -> Formula:
     """The negation normal form of the clause's negation, in one pass.
 
     Equal to cnf.nnf(Not(clause_to_formula(c))), built from the clause
-    without the formula: the dual connective and modality at every node,
-    each literal negated, and bot and ~bot swapped.
+    without the formula: literals flipped, bot and ~bot swapped.
     """
-    if c.is_bottom:
-        return TOP
-    conjuncts = [l.negate().to_formula() for l in _in_order(c.literals, literal_sort_key)]
-    try:
-        conjuncts += [Diamond(clause_negation(b)) for b in _in_order(c.boxes, clause_key)]
-        conjuncts += [Box(_cnf_negation(s)) for s in _in_order(c.diamonds, cnf_key)]
-    except RecursionError:
-        raise RecursionDepthExceeded("clause nested too deep to convert") from None
-    return _fold(And, conjuncts)
-
-
-def _cnf_negation(s: Cnf) -> Formula:
-    if not s:
-        return BOT
-    return _fold(Or, [clause_negation(c) for c in _in_order(s, clause_key)])
+    return _clause_nnf(c, True)
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +492,6 @@ def _json_array(value) -> list:
 
 def _literal_from_json(s) -> Literal:
     name = s[1:] if isinstance(s, str) and s.startswith("~") else s
-    if not isinstance(name, str) or not VAR_NAME.fullmatch(name) or name == "bot":
+    if not is_variable_name(name):
         raise ValueError(f"not a literal: {s!r}")
     return Literal(name, not s.startswith("~"))

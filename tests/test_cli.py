@@ -179,6 +179,16 @@ def test_formula_mode(tmp_path, capsys):
     assert "p" in out
 
 
+@pytest.mark.parametrize("command", [["compile"], ["oracle", "--vars", "p,q,r"]],
+                         ids=["compile", "oracle"])
+def test_formula_syntax_error_gives_file_line_and_column(tmp_path, capsys, command):
+    kb = tmp_path / "g.k"
+    kb.write_text("# a formula over three lines\np &\n  (q | ) & r\n")
+    code, out, err = run_cli(capsys, command[0], str(kb), "--formula", *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"kprime: {kb}: syntax error at line 3, column 8")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "compile", "no-such-file.k")
     assert code == 2
@@ -295,8 +305,10 @@ def test_broken_pipe_exits_two(tmp_path, capsys, monkeypatch):
         '{"prime_implicates": [5]}',
         '{"prime_implicates": [{"boxes": [{"lits": "q"}]}]}',
         '{"prime_implicates": [{"lits": [""]}]}',
+        '{"prime_implicates": [{"lits": ["~bot"]}]}',
     ],
-    ids=["list", "number-literal", "number-clause", "string-lits", "empty-literal"],
+    ids=["list", "number-literal", "number-clause", "string-lits", "empty-literal",
+         "bot-literal"],
 )
 def test_query_on_non_compiled_file_exits_two(tmp_path, capsys, text):
     bad = tmp_path / "junk.json"

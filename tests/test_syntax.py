@@ -37,6 +37,7 @@ from kprime.syntax import (
     Or,
     clause_key,
     clause_negation,
+    cnf_to_formula,
     formula_sort_key,
 )
 
@@ -121,6 +122,13 @@ def _deep_clause():
     return deep
 
 
+def _deep_diamond_clause():
+    deep = Clause(literals=frozenset([Literal("p")]))
+    for _ in range(5000):
+        deep = Clause(diamonds=frozenset([frozenset([deep])]))
+    return deep
+
+
 def _deep_clause_json():
     deep = {"lits": ["p"]}
     for _ in range(5000):
@@ -144,12 +152,15 @@ DEEP_INPUT_CALLS = {
     "clause_to_json": lambda: clause_to_json(_deep_clause()),
     "clause_to_formula": lambda: clause_to_formula(_deep_clause()),
     "clause_negation": lambda: clause_negation(_deep_clause()),
+    "clause_to_formula_diamonds": lambda: clause_to_formula(_deep_diamond_clause()),
+    "clause_negation_diamonds": lambda: clause_negation(_deep_diamond_clause()),
+    "cnf_to_formula_diamonds": lambda: cnf_to_formula(frozenset([_deep_diamond_clause()])),
     "closure_step_traced": lambda: closure_step_traced([_deep_clause()]),
     "str_clause": lambda: str(_deep_clause()),
     "model_check": lambda: model_check(_loop_model(), 0, _deep_formula()),
     "length": lambda: length(_deep_formula()),
     "variables": lambda: variables(_deep_formula()),
-    "formula_sort_key": lambda: formula_sort_key(_deep_formula()),
+    "formula_sort_key": lambda: formula_sort_key(_deep_formula(), {}),
     "clause_length": lambda: clause_length(_deep_clause()),
     "nnf": lambda: nnf(_deep_formula()),
     "simplify": lambda: simplify(_deep_clause()),
