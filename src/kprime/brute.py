@@ -7,6 +7,7 @@ instrument: the bounds explode combinatorially, so keep them at desk scale.
 MAX_CLAUSE_SPACE (100,000 clauses) enforces that: p, q at depth 1, width 2
 (2,486 clauses) and p, q, r there (33,671) fit, while p, q at depth 2,
 width 2 (about 4.8e12) raises ClauseBudgetExceeded before anything is built.
+A negative depth or width raises ValueError in every function here.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from .pic import EntailmentOracle, residue_detailed
 from .syntax import BOTTOM_CLAUSE, Clause, Cnf, Literal, clause_key
 
 MAX_CLAUSE_SPACE = 100_000  # clauses enumerate_clauses may build for one set of bounds
+
+
+def _check_bounds(depth: int, width: int) -> None:
+    if depth < 0 or width < 0:
+        raise ValueError(f"depth and width must not be negative (got {depth} and {width})")
 
 
 def _space_size(variables: int, depth: int, width: int) -> int:
@@ -87,6 +93,7 @@ def enumerate_clauses(vocab, depth: int, width: int):
     the empty clause comes first.  Raises ClauseBudgetExceeded, before
     building any clause, when the space holds more than MAX_CLAUSE_SPACE.
     """
+    _check_bounds(depth, width)
     vocab = tuple(sorted(set(vocab)))  # a repeated variable adds nothing
     size = _space_size(len(vocab), depth, width)
     if size > MAX_CLAUSE_SPACE:
@@ -100,6 +107,7 @@ def enumerate_clauses(vocab, depth: int, width: int):
 
 def within_bounds(c: Clause, vocab, depth: int, width: int) -> bool:
     """Whether a clause lies inside the enumerated space for these bounds."""
+    _check_bounds(depth, width)
     vocab = frozenset(vocab)
     if c.component_count() > width:
         return False

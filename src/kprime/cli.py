@@ -62,7 +62,9 @@ def load_kb(path: str, whole_formula: bool = False):
         try:
             clauses.append(single_clause(parse(line)))
         except ParseError as e:
-            raise CliError(f"{path}:{lineno}: {e}") from e
+            # the parser saw one line; place the error at the file's line
+            at = ParseError(e.message, lineno, e.column, e.expected, e.found)
+            raise CliError(f"{path}: {at}") from e
         except ValueError as e:
             raise CliError(
                 f"{path}:{lineno}: not a single clause ({e}); "
@@ -129,8 +131,6 @@ def cmd_oracle(args) -> int:
     for v in vocab:
         if not is_variable_name(v):
             raise CliError(f"--vars: not a variable name: {v!r}")
-    if args.depth < 0 or args.width < 0:
-        raise CliError("--depth and --width must not be negative")
     kb = load_kb(args.kb_file, whole_formula=args.formula)
     out = prime_implicates_brute(kb, vocab, args.depth, args.width)
     print(json.dumps([clause_to_json(c) for c in sorted(out, key=clause_order)], indent=2))

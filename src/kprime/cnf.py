@@ -79,8 +79,8 @@ def _check(clauses):
 
 
 def _convert(f: Formula) -> Cnf:
-    # f is in NNF; the result is a normalized clause set, assembled from
-    # normal parts by the normalization constructors
+    # f is in NNF; the result is a normalized clause set of at most
+    # DEFAULT_CLAUSE_BUDGET clauses, built by the normalization constructors
     if isinstance(f, Var):
         return frozenset((literal(Literal(f.name, True)),))
     if isinstance(f, Not):
@@ -101,11 +101,11 @@ def _convert(f: Formula) -> Cnf:
                 reached=len(left) * len(right),
                 limit=DEFAULT_CLAUSE_BUDGET,
             )
-        return _check(conjoin([disjoin(a, b) for a in left for b in right]))
+        return conjoin([disjoin(a, b) for a in left for b in right])
     if isinstance(f, Box):
         # box distributes over the conjunction of the body's clauses
         body = _convert(f.body)
-        return _check(frozenset(box(c) for c in body) or EMPTY)
+        return frozenset(box(c) for c in body) or EMPTY
     if isinstance(f, Diamond):
         return frozenset((diamond(_convert(f.body)),))
     raise TypeError(f"unexpected connective after NNF: {f!r}")

@@ -13,6 +13,7 @@ class ParseError(KPrimeError):
     """
 
     def __init__(self, message, line, column, expected=(), found=None):
+        self.message = message
         self.line = line
         self.column = column
         self.expected = frozenset(expected)

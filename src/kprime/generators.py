@@ -14,19 +14,15 @@ from .normalization import make_clause, simplify_cnf
 from .semantics import diamond_subformulas
 from .syntax import BOT, And, Box, Clause, Diamond, Formula, Literal, Not, Or, Var
 
+MAX_DIAMONDS = 2  # distinct diamond subformulas a random formula keeps after NNF
 
-def random_formula(
-    rng: random.Random,
-    vocab,
-    depth: int = 2,
-    size: int = 8,
-    max_diamonds: int | None = 2,
-) -> Formula:
+
+def random_formula(rng: random.Random, vocab, depth: int = 2, size: int = 8) -> Formula:
     """Random formula over the vocabulary with bounded modal depth."""
     vocab = tuple(vocab)
     for _ in range(50):
         f = _grow(rng, vocab, depth, size)
-        if max_diamonds is None or len(diamond_subformulas(f)) <= max_diamonds:
+        if len(diamond_subformulas(f)) <= MAX_DIAMONDS:
             return f
     return Var(vocab[0]) if vocab else BOT
 

@@ -10,10 +10,11 @@ pair within a diamond's set grows that set, a member's own resolvent grows
 it likewise, and boxes recurse.  Every conclusion is returned in normal
 form; premises are normal, so conclusions are assembled with the
 normalization constructors and never re-simplified.  Each rule routine
-takes a trace flag: traced, it yields a witness derivation tree per
-conclusion, with unit clauses naming each active part; untraced, the bare
-conclusion, and it builds no derivation and no premise unit clause.  The
-two modes make the same conclusions in the same order.
+yields (conclusion, why) pairs: why is a witness derivation tree, with unit
+clauses naming each active part, when traced and falsy when not.  Only the
+axioms read the trace flag; a lifting rule builds `why and ResolutionStep`,
+so untraced no derivation or premise unit clause is built.  The two modes
+make the same conclusions in the same order.
 
 Two extra rules back the covering guarantee.  A box body is absorbed into
 every diamond of the partner premise outright (every successor satisfies
@@ -86,45 +87,42 @@ class ResolutionStep:
         }
 
 
-def _wrap(trace: bool, rule: str, premises: tuple, core, *rems: Clause):
+def _wrap(rule: str, premises: tuple, core, *rems: Clause):
     """Thread the untouched disjuncts of the premises around a core resolvent.
 
-    core is a derivation when traced and its bare conclusion when not; the
-    result is of the same kind.
+    core and the result are (conclusion, why) pairs.
     """
+    conclusion, why = core
     for rem in rems:
         if not rem.is_bottom:
-            if not trace:
-                return disjoin(*rems, core)
-            return ResolutionStep(rule, premises, disjoin(*rems, core.conclusion), (core,))
+            c = disjoin(*rems, conclusion)
+            return c, why and ResolutionStep(rule, premises, c, (why,))
     return core
 
 
 def _sigma(a: Clause, b: Clause, trace: bool):
     if a.is_bottom or b.is_bottom:
         # a bottom premise resolves the pair away entirely
-        yield ResolutionStep("A1'", (a, b), BOTTOM_CLAUSE) if trace else BOTTOM_CLAUSE
+        yield BOTTOM_CLAUSE, trace and ResolutionStep("A1'", (a, b), BOTTOM_CLAUSE)
         return
 
     for lit in a.literals:
         comp = lit.negate()
         if comp not in b.literals:
             continue
-        core = (ResolutionStep("A1", (literal(lit), literal(comp)), BOTTOM_CLAUSE)
-                if trace else BOTTOM_CLAUSE)
+        why = trace and ResolutionStep("A1", (literal(lit), literal(comp)), BOTTOM_CLAUSE)
         rem_a = Clause(a.literals - {lit}, a.boxes, a.diamonds)
         rem_b = Clause(b.literals - {comp}, b.boxes, b.diamonds)
-        yield _wrap(trace, "sigma-or", (a, b), core, rem_a, rem_b)
+        yield _wrap("sigma-or", (a, b), (BOTTOM_CLAUSE, why), rem_a, rem_b)
 
     for da in a.boxes:
         for db in b.boxes:
-            for inner in _sigma(da, db, trace):
-                conclusion = box(inner.conclusion if trace else inner)
-                core = (ResolutionStep("sigma-boxbox", (box(da), box(db)), conclusion, (inner,))
-                        if trace else conclusion)
+            for inner, why in _sigma(da, db, trace):
+                c = box(inner)
+                core = c, why and ResolutionStep("sigma-boxbox", (box(da), box(db)), c, (why,))
                 rem_a = Clause(a.literals, a.boxes - {da}, a.diamonds)
                 rem_b = Clause(b.literals, b.boxes - {db}, b.diamonds)
-                yield _wrap(trace, "sigma-or", (a, b), core, rem_a, rem_b)
+                yield _wrap("sigma-or", (a, b), core, rem_a, rem_b)
 
     for x, y in ((a, b), (b, a)):
         if not y.diamonds:
@@ -137,21 +135,20 @@ def _sigma(a: Clause, b: Clause, trace: bool):
                 # diamond of the partner at once.  Resolution alone cannot
                 # reach these conclusions, and absorbing one diamond at a
                 # time can stall on intermediates the residue removes.
-                conclusion = disjoin(*(diamond(conjoin(s, (d,))) for s in y.diamonds))
-                core = (ResolutionStep("sigma-absorb", (box(d), Clause(diamonds=y.diamonds)),
-                                       conclusion)
-                        if trace else conclusion)
-                rem_y = Clause(y.literals, y.boxes)
-                yield _wrap(trace, "sigma-or", (a, b), core, rem_x, rem_y)
+                c = disjoin(*(diamond(conjoin(s, (d,))) for s in y.diamonds))
+                core = c, trace and ResolutionStep(
+                    "sigma-absorb", (box(d), Clause(diamonds=y.diamonds)), c
+                )
+                yield _wrap("sigma-or", (a, b), core, rem_x, Clause(y.literals, y.boxes))
             for s in y.diamonds:
                 rem_y = Clause(y.literals, y.boxes, y.diamonds - {s})
                 for e in s:
-                    for inner in _sigma(d, e, trace):
-                        conclusion = diamond(conjoin(s, (inner.conclusion if trace else inner,)))
-                        core = (ResolutionStep("sigma-boxdiamond", (box(d), diamond(s)),
-                                               conclusion, (inner,))
-                                if trace else conclusion)
-                        yield _wrap(trace, "sigma-or", (a, b), core, rem_x, rem_y)
+                    for inner, why in _sigma(d, e, trace):
+                        c = diamond(conjoin(s, (inner,)))
+                        core = c, why and ResolutionStep(
+                            "sigma-boxdiamond", (box(d), diamond(s)), c, (why,)
+                        )
+                        yield _wrap("sigma-or", (a, b), core, rem_x, rem_y)
 
 
 def _gamma(a: Clause, trace: bool):
@@ -161,31 +158,28 @@ def _gamma(a: Clause, trace: bool):
         # satisfying the box body.  This seeds a diamond that absorption can
         # pack with other box bodies; without it, diamond-free premises
         # cover none of their box-or-diamond consequences.
-        dichotomy = disjoin(box(BOTTOM_CLAUSE), diamond(frozenset((d,))))
-        core = ResolutionStep("gamma-dichotomy", (box(d),), dichotomy) if trace else dichotomy
-        yield _wrap(trace, "gamma-or", (a,), core, rem)
-        for inner in _gamma(d, trace):
-            conclusion = box(inner.conclusion if trace else inner)
-            core = (ResolutionStep("gamma-box", (box(d),), conclusion, (inner,))
-                    if trace else conclusion)
-            yield _wrap(trace, "gamma-or", (a,), core, rem)
+        c = disjoin(box(BOTTOM_CLAUSE), diamond(frozenset((d,))))
+        core = c, trace and ResolutionStep("gamma-dichotomy", (box(d),), c)
+        yield _wrap("gamma-or", (a,), core, rem)
+        for inner, why in _gamma(d, trace):
+            c = box(inner)
+            core = c, why and ResolutionStep("gamma-box", (box(d),), c, (why,))
+            yield _wrap("gamma-or", (a,), core, rem)
 
     for s in a.diamonds:
         rem = Clause(a.literals, a.boxes, a.diamonds - {s})
         members = sorted_clauses(s)  # the trace records e1 before e2
         for i, e1 in enumerate(members):
             for e2 in members[i + 1 :]:
-                for inner in _sigma(e1, e2, trace):
-                    conclusion = diamond(conjoin(s, (inner.conclusion if trace else inner,)))
-                    core = (ResolutionStep("gamma-diamond1", (diamond(s),), conclusion, (inner,))
-                            if trace else conclusion)
-                    yield _wrap(trace, "gamma-or", (a,), core, rem)
+                for inner, why in _sigma(e1, e2, trace):
+                    c = diamond(conjoin(s, (inner,)))
+                    core = c, why and ResolutionStep("gamma-diamond1", (diamond(s),), c, (why,))
+                    yield _wrap("gamma-or", (a,), core, rem)
         for e in s:
-            for inner in _gamma(e, trace):
-                conclusion = diamond(conjoin(s, (inner.conclusion if trace else inner,)))
-                core = (ResolutionStep("gamma-diamond2", (diamond(s),), conclusion, (inner,))
-                        if trace else conclusion)
-                yield _wrap(trace, "gamma-or", (a,), core, rem)
+            for inner, why in _gamma(e, trace):
+                c = diamond(conjoin(s, (inner,)))
+                core = c, why and ResolutionStep("gamma-diamond2", (diamond(s),), c, (why,))
+                yield _wrap("gamma-or", (a,), core, rem)
 
 
 def _step_signature(step: ResolutionStep):
@@ -211,17 +205,17 @@ def _dedup(steps) -> tuple:
 def sigma_resolvents(a: Clause, b: Clause) -> tuple:
     """All resolvents of a clause pair, one derivation per conclusion."""
     _check_nesting((a, b))
-    return _dedup(_sigma(a, b, True))
+    return _dedup(why for _, why in _sigma(a, b, True))
 
 
 def gamma_resolvents(a: Clause) -> tuple:
     """All single-premise resolvents of a clause, one derivation per conclusion."""
     _check_nesting((a,))
-    return _dedup(_gamma(a, True))
+    return _dedup(why for _, why in _gamma(a, True))
 
 
 def _layer(base, trace: bool):
-    """Every result of one closure layer, pairs (a, b) in clause-key order."""
+    """Every (conclusion, why) of one closure layer, pairs (a, b) in clause-key order."""
     for i, a in enumerate(base):
         for b in base[i:]:
             yield from _sigma(a, b, trace)
@@ -235,18 +229,17 @@ def closure_step_traced(clauses, clause_budget: int | None = None, trace: bool =
     in the input.  With trace the entries are derivations: every derivation
     of a new conclusion is kept and the smallest is returned, ordered by
     conclusion key.  Without it they are the new conclusions themselves, in
-    the order found, and no derivation is built.  Each conclusion joins the
-    set as the rules produce it, so the clause budget fires as soon as the
-    set holds clause_budget + 1 clauses, before the rest of the layer is
+    no particular order, and no derivation is built.  Each conclusion joins
+    the set as the rules produce it, so the clause budget fires as soon as
+    the set holds clause_budget + 1 clauses, before the rest of the layer is
     built.  A clause nested deeper than DEFAULT_MAX_DEPTH fails first.
     """
     clauses = set(clauses)
     _check_nesting(clauses)
     base = sorted_clauses(clauses)
     out = set(base)
-    found = []  # with trace every derivation, without it each new conclusion
-    for result in _layer(base, trace):
-        conclusion = result.conclusion if trace else result
+    found = []  # every derivation, traced
+    for conclusion, why in _layer(base, trace):
         if conclusion not in out:
             out.add(conclusion)
             if clause_budget is not None and len(out) > clause_budget:
@@ -255,10 +248,10 @@ def closure_step_traced(clauses, clause_budget: int | None = None, trace: bool =
                     reached=len(out),
                     limit=clause_budget,
                 )
-            found.append(result if trace else conclusion)
-        elif trace:
-            found.append(result)
+        if why:
+            found.append(why)
+    closure = frozenset(out)
+    new = closure - clauses
     if trace:
-        new = out.difference(base)
-        return frozenset(out), _dedup(s for s in found if s.conclusion in new)
-    return frozenset(out), tuple(found)
+        return closure, _dedup(s for s in found if s.conclusion in new)
+    return closure, tuple(new)

@@ -75,6 +75,16 @@ def test_clause_space_over_the_cap_raises_before_building():
         prime_implicates_brute(make_cnf([cl("p")]), ("p", "q"), 2, 2)
 
 
+@pytest.mark.parametrize("depth, width", [(-1, 2), (1, -1)])
+def test_negative_bounds_raise_value_error(depth, width):
+    with pytest.raises(ValueError, match="must not be negative"):
+        enumerate_clauses(("p",), depth, width)
+    with pytest.raises(ValueError, match="must not be negative"):
+        within_bounds(cl("p"), ("p",), depth, width)
+    with pytest.raises(ValueError, match="must not be negative"):
+        prime_implicates_brute(make_cnf([cl("p")]), ("p",), depth, width)
+
+
 def test_width_zero_space_is_the_empty_clause_at_any_depth():
     # no recursion down the depth: 900 levels would pass the stack
     for depth in (0, 1, 900):

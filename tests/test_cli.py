@@ -189,6 +189,16 @@ def test_formula_syntax_error_gives_file_line_and_column(tmp_path, capsys, comma
     assert err.startswith(f"kprime: {kb}: syntax error at line 3, column 8")
 
 
+@pytest.mark.parametrize("command", [["compile"], ["oracle", "--vars", "p,q"]],
+                         ids=["compile", "oracle"])
+def test_clause_line_syntax_error_gives_one_line_number(tmp_path, capsys, command):
+    kb = tmp_path / "bad.k"
+    kb.write_text("p  # first\n\n  (q | ) \n")
+    code, out, err = run_cli(capsys, command[0], str(kb), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"kprime: {kb}: syntax error at line 3, column 8 (found ')'); ")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run_cli(capsys, "compile", "no-such-file.k")
     assert code == 2

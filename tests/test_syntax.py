@@ -56,8 +56,8 @@ def test_length_examples():
 def test_length_additive_over_binary_connectives():
     rng = random.Random(3)
     for _ in range(100):
-        a = random_formula(rng, ("p", "q"), 1, rng.randint(1, 8), max_diamonds=None)
-        b = random_formula(rng, ("p", "q"), 1, rng.randint(1, 8), max_diamonds=None)
+        a = random_formula(rng, ("p", "q"), 1, rng.randint(1, 8))
+        b = random_formula(rng, ("p", "q"), 1, rng.randint(1, 8))
         assert length(And(a, b)) == length(a) + length(b) + 1
         assert length(a) >= 1
 

@@ -37,7 +37,8 @@ from kprime import (
     to_cnf,
 )
 from kprime.brute import enumerate_clauses
-from kprime.generators import random_clause, random_formula, random_kb
+# _grow is random_formula without its filter on diamond subformulas
+from kprime.generators import _grow, random_clause, random_kb
 from kprime.normalization import disjoin
 from kprime.pic import PicResult, StageRecord
 from kprime.resolution import ResolutionStep
@@ -181,7 +182,7 @@ def test_every_empty_part_is_the_shared_empty():
         reached += (c for step in result.steps for c in _step_clauses(step))
         reached += (clause_from_json(clause_to_json(c)) for c in result.prime_implicates)
     for _ in range(200):
-        formula = random_formula(rng, ("p", "q"), 2, rng.randint(1, 10), max_diamonds=None)
+        formula = _grow(rng, ("p", "q"), 2, rng.randint(1, 10))
         cnf = to_cnf(formula)
         assert cnf or cnf is EMPTY
         reached += cnf
@@ -241,7 +242,7 @@ def test_parses_share_nothing():
 def test_parse_builds_one_node_per_distinct_subformula():
     rng = random.Random(11)
     for _ in range(500):
-        f = random_formula(rng, ("p", "q", "r"), rng.randint(0, 3), rng.randint(1, 16), None)
+        f = _grow(rng, ("p", "q", "r"), rng.randint(0, 3), rng.randint(1, 16))
         g = parse(render(f))
         assert g == f
         nodes = list(_nodes(g))
