@@ -1,15 +1,18 @@
 """Conversion of arbitrary formulas to sets of modal DNF clauses.
 
-The converter pushes negation to the leaves, each connective and modality
-becoming its syntax.DUAL on the way, then distributes directly:
-disjunction multiplies clause sets, box distributes over the conjuncts of
-its body, and a diamond wraps its body's clause set as a single component.
-No renaming is performed: prime implicates are defined over the input
-vocabulary, and fresh variables would change the implicate set.  The
-distribution blowup is guarded by the constant cap DEFAULT_CLAUSE_BUDGET.
-Clauses are built by the normalization constructors, units included, so
-every result is normal; nnf and to_cnf raise RecursionDepthExceeded on
-input nested deeper than the interpreter's stack allows.
+The converter walks the formula once, carrying a polarity, and builds no
+negation normal form copy: a negation flips the polarity, under which each
+connective and modality is its syntax.DUAL.  It distributes in the same
+walk: disjunction multiplies clause sets, box distributes over the
+conjuncts of its body, and a diamond wraps its body's clause set as a
+single component.  No renaming is performed: prime implicates are defined
+over the input vocabulary, and fresh variables would change the implicate
+set.  The distribution blowup is guarded by the constant cap
+DEFAULT_CLAUSE_BUDGET.  Clauses are built by the normalization
+constructors, units included, so every result is normal.  nnf, the
+negation normal form itself, is here for the tableau.  nnf and to_cnf
+raise RecursionDepthExceeded on input nested deeper than the interpreter's
+stack allows.
 """
 
 from __future__ import annotations
@@ -68,31 +71,27 @@ def _nnf(f: Formula, negated: bool, done: dict) -> Formula:
     return out
 
 
-def _check(clauses):
-    if len(clauses) > DEFAULT_CLAUSE_BUDGET:
-        raise ClauseBudgetExceeded(
-            f"CNF conversion produced more than {DEFAULT_CLAUSE_BUDGET} clauses",
-            reached=len(clauses),
-            limit=DEFAULT_CLAUSE_BUDGET,
-        )
-    return clauses
-
-
-def _convert(f: Formula) -> Cnf:
-    # f is in NNF; the result is a normalized clause set of at most
-    # DEFAULT_CLAUSE_BUDGET clauses, built by the normalization constructors
+def _convert(f: Formula, negated: bool) -> Cnf:
+    # the clause set of f, or of ~f when negated: normal, and of at most
+    # DEFAULT_CLAUSE_BUDGET clauses
     if isinstance(f, Var):
-        return frozenset((literal(Literal(f.name, True)),))
-    if isinstance(f, Not):
-        if isinstance(f.body, Bottom):
-            return EMPTY  # verum: the empty conjunction
-        return frozenset((literal(Literal(f.body.name, False)),))
+        return frozenset((literal(Literal(f.name, not negated)),))
     if isinstance(f, Bottom):
-        return BOTTOM_CNF
-    if isinstance(f, And):
-        return _check(conjoin(_convert(f.left), _convert(f.right)))
-    if isinstance(f, Or):
-        left, right = _convert(f.left), _convert(f.right)
+        return EMPTY if negated else BOTTOM_CNF  # ~bot is verum: the empty conjunction
+    if isinstance(f, Not):
+        return _convert(f.body, not negated)
+    op = DUAL.get(type(f)) if negated else type(f)
+    if op is And:
+        clauses = conjoin(_convert(f.left, negated), _convert(f.right, negated))
+        if len(clauses) > DEFAULT_CLAUSE_BUDGET:
+            raise ClauseBudgetExceeded(
+                f"CNF conversion produced more than {DEFAULT_CLAUSE_BUDGET} clauses",
+                reached=len(clauses),
+                limit=DEFAULT_CLAUSE_BUDGET,
+            )
+        return clauses
+    if op is Or:
+        left, right = _convert(f.left, negated), _convert(f.right, negated)
         if not left or not right:
             return EMPTY  # either side is verum
         if len(left) * len(right) > DEFAULT_CLAUSE_BUDGET:
@@ -102,13 +101,13 @@ def _convert(f: Formula) -> Cnf:
                 limit=DEFAULT_CLAUSE_BUDGET,
             )
         return conjoin([disjoin(a, b) for a in left for b in right])
-    if isinstance(f, Box):
+    if op is Box:
         # box distributes over the conjunction of the body's clauses
-        body = _convert(f.body)
+        body = _convert(f.body, negated)
         return frozenset(box(c) for c in body) or EMPTY
-    if isinstance(f, Diamond):
-        return frozenset((diamond(_convert(f.body)),))
-    raise TypeError(f"unexpected connective after NNF: {f!r}")
+    if op is Diamond:
+        return frozenset((diamond(_convert(f.body, negated)),))
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def to_cnf(f: Formula) -> Cnf:
@@ -119,7 +118,7 @@ def to_cnf(f: Formula) -> Cnf:
     than the interpreter's stack allows.
     """
     try:
-        return _convert(nnf(f))
+        return _convert(f, False)
     except RecursionError:
         raise RecursionDepthExceeded("formula nested too deep to convert") from None
 

@@ -49,20 +49,22 @@ from .syntax import (
     clause_to_formula,
     clause_to_json,
     cnf_to_formula,
+    key_sorted,
 )
 
 
 @dataclass(frozen=True)
 class PicConfig:
-    """Resource caps for a compilation run; all counts must be positive."""
+    """Resource caps for a compilation run; each a positive int (no bool)."""
 
     max_iterations: int = 20
     clause_budget: int = 5000
 
     def __post_init__(self):
         for name in ("max_iterations", "clause_budget"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ValueError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +97,7 @@ class PicResult:
     steps: tuple = field(default=(), compare=False, repr=False)
 
     def sorted_implicates(self) -> list:
-        return sorted(self.prime_implicates, key=clause_order)
+        return key_sorted(self.prime_implicates, clause_order)
 
     def to_json(self) -> dict:
         return {
@@ -167,7 +169,7 @@ def _antichain(clauses, dominates):
     front then and failed the check.  Only a clause that was evicted, or
     whose first witness was, scans the kept clauses again.
     """
-    items = sorted(set(clauses), key=clause_order)
+    items = key_sorted(set(clauses), clause_order)
     front: list = []
     witness = {}  # dropped clause -> the front member that dropped it
     for c in items:
@@ -339,7 +341,7 @@ def covering_implicate(
     """
     oracle = oracle or EntailmentOracle()
     q = simplify(q)
-    for d in sorted(pi, key=clause_order):
+    for d in key_sorted(pi, clause_order):
         if oracle.clause_entails(d, q):
             return d
     return None

@@ -191,8 +191,8 @@ class Tableau:
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
-        if node_budget <= 0:
-            raise ValueError("node_budget must be positive")
+        if type(node_budget) is not int or node_budget <= 0:  # bool is no count
+            raise ValueError("node_budget must be a positive integer")
         self.node_budget = node_budget
         self._nodes = 0  # nodes expanded by the current search
         self._sort_keys: dict = {}  # formula_sort_key by id, for the current search only

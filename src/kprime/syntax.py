@@ -11,9 +11,10 @@ Values are slotted dataclasses and take no attributes beyond their fields.
 Every empty part of every clause is the one frozenset EMPTY (CPython does
 not share empty frozensets), so a clause costs no more than its nonempty
 parts: the Clause constructor stores any empty part it is given as EMPTY.
-The recursive walkers raise RecursionDepthExceeded on input nested deeper
-than the interpreter's stack allows.  Negation turns each connective and
-modality into its DUAL, the one table that cnf.nnf and the clause walker read.
+The recursive walkers, and the sorts that compare clause keys (key_sorted),
+raise RecursionDepthExceeded on input nested deeper than the interpreter's
+stack allows.  Negation turns each connective and modality into its DUAL,
+the one table that cnf.nnf, the CNF converter and the clause walker read.
 """
 
 from __future__ import annotations
@@ -361,7 +362,7 @@ def clause_key(c: Clause):
 
 @lru_cache(maxsize=KEY_CACHE_SIZE)
 def cnf_key(s: Cnf):
-    return tuple(sorted(clause_key(c) for c in s))
+    return tuple(key_sorted([clause_key(c) for c in s], None))
 
 
 @lru_cache(maxsize=KEY_CACHE_SIZE)
@@ -388,8 +389,17 @@ def cnf_length(s: Cnf) -> int:
     return sum(clause_length(c) for c in s) + (len(s) - 1)
 
 
+def key_sorted(items, key) -> list:
+    """sorted(items, key=key) for keys holding clause keys, which nest as deep as
+    their clauses and compare recursively: RecursionDepthExceeded past the stack."""
+    try:
+        return sorted(items, key=key)
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to order") from None
+
+
 def sorted_clauses(clauses) -> list:
-    return sorted(clauses, key=clause_key)
+    return key_sorted(clauses, clause_key)
 
 
 def _in_order(part, key):
@@ -426,7 +436,10 @@ def _cnf_nnf(s: Cnf, negated: bool) -> Formula:
     if not s:
         return BOT if negated else TOP
     join = DUAL[And] if negated else And
-    return _fold(join, [_clause_nnf(c, negated) for c in _in_order(s, clause_key)])
+    try:  # the sort compares nested keys recursively, cached or not
+        return _fold(join, [_clause_nnf(c, negated) for c in _in_order(s, clause_key)])
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to convert") from None
 
 
 def clause_to_formula(c: Clause) -> Formula:
@@ -458,14 +471,17 @@ def clause_negation(c: Clause) -> Formula:
 
 def clause_to_json(c: Clause) -> dict:
     """Clause as a JSON-ready dict; all arrays in canonical order."""
-    return {
-        "lits": [str(l) for l in sorted(c.literals, key=literal_sort_key)],
-        "boxes": [clause_to_json(b) for b in sorted_clauses(c.boxes)],
-        "diamonds": [
-            [clause_to_json(m) for m in sorted_clauses(s)]
-            for s in sorted(c.diamonds, key=cnf_key)
-        ],
-    }
+    try:
+        return {
+            "lits": [str(l) for l in sorted(c.literals, key=literal_sort_key)],
+            "boxes": [clause_to_json(b) for b in sorted_clauses(c.boxes)],
+            "diamonds": [
+                [clause_to_json(m) for m in sorted_clauses(s)]
+                for s in sorted(c.diamonds, key=cnf_key)
+            ],
+        }
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to write") from None
 
 
 def clause_from_json(obj) -> Clause:

@@ -1,5 +1,7 @@
+import ast
 import inspect
 import types
+from pathlib import Path
 
 import kprime
 
@@ -55,3 +57,20 @@ def test_removed_entry_points_stay_removed():
 def test_removed_parameters_stay_removed():
     for fn, name in REMOVED_PARAMETERS:
         assert name not in inspect.signature(fn).parameters, (fn.__qualname__, name)
+
+
+def test_readme_library_example_runs():
+    # the first python block of README.md, run as written; each bare
+    # expression's trailing comment, up to a colon, is what it shows
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    lines = block.splitlines()
+    shown = []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            comment = lines[node.end_lineno - 1].partition("#")[2]
+            value = eval(ast.get_source_segment(block, node), namespace)
+            shown.append((str(value), comment.split(":")[0].strip()))
+    assert shown == [("[][](~p | r)", "[][](~p | r)"), ("False", "False"), ("True", "True")]

@@ -1,10 +1,13 @@
 import pytest
 
 from kprime import (
+    And,
     Box,
     ClauseBudgetExceeded,
+    Not,
     RecursionDepthExceeded,
     Var,
+    nnf,
     parse,
     simplify,
     single_clause,
@@ -77,3 +80,33 @@ def test_deep_nesting_is_a_budget_error():
 def test_single_clause_rejects_conjunctions():
     with pytest.raises(ValueError):
         single_clause(parse("p & q"))
+
+
+def _cnf_or_budget(f):
+    try:
+        return to_cnf(f)
+    except ClauseBudgetExceeded as e:
+        return ("over budget", e.reached)
+
+
+def test_conversion_pushes_negation_as_nnf_does(rng):
+    # to_cnf walks the formula once; converting its NNF first changes nothing
+    cases = []
+    for _ in range(300):
+        g = random_formula(rng, ("p", "q", "r"), depth=rng.randint(0, 3),
+                           size=rng.randint(1, 16))
+        cases += [g, Not(g)]
+    # 14 disjoined conjunctions exceed the clause budget; under ~ they do not
+    wide = parse(" | ".join(f"(p{i} & q{i})" for i in range(14)))
+    cases += [wide, Not(Not(wide)), Not(wide)]
+    for g in cases:
+        assert _cnf_or_budget(g) == _cnf_or_budget(nnf(g))
+    assert _cnf_or_budget(wide) == ("over budget", 16384)
+
+
+@pytest.mark.parametrize("bad", [Not("p"), And(Var("p"), 3), Box(Not(3)), "p"],
+                         ids=["not-str", "and-int", "box-not-int", "str"])
+def test_non_formula_is_a_type_error(bad):
+    for convert in (to_cnf, single_clause):
+        with pytest.raises(TypeError, match="not a formula"):
+            convert(bad)

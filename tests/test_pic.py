@@ -629,10 +629,10 @@ def test_budget_errors_keep_their_counts_through_the_compile():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PicConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        PicConfig(clause_budget=-5)
+    for bad in (0, -5, 2.5, "7", True):
+        for name in ("max_iterations", "clause_budget"):
+            with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+                PicConfig(**{name: bad})
     # the tableau owns the node budget; the resolvent depth cap is fixed
     for removed in ("tableau_node_budget", "max_depth"):
         with pytest.raises(TypeError):

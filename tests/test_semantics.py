@@ -213,9 +213,9 @@ def test_node_budget_error_carries_its_counts():
     assert str(exc.value) == "tableau search expanded 3 nodes, over the budget of 2"
 
 
-@pytest.mark.parametrize("nodes", [0, -1])
+@pytest.mark.parametrize("nodes", [0, -1, 2.5, "7", True])
 def test_node_budget_must_be_positive(nodes):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="node_budget must be a positive integer"):
         Tableau(node_budget=nodes)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from kprime import (
     KripkeModel,
     Literal,
     Not,
+    PicResult,
     RecursionDepthExceeded,
     Var,
     clause_from_json,
@@ -17,14 +19,17 @@ from kprime import (
     clause_to_formula,
     clause_to_json,
     closure_step_traced,
+    covering_implicate,
     length,
     modal_depth,
     model_check,
     nnf,
     parse,
     render,
+    residue_detailed,
     simplify,
     subsumes,
+    subsumption_reduce,
     variables,
     within_bounds,
 )
@@ -37,8 +42,10 @@ from kprime.syntax import (
     Or,
     clause_key,
     clause_negation,
+    cnf_key,
     cnf_to_formula,
     formula_sort_key,
+    sorted_clauses,
 )
 
 from conftest import cl
@@ -175,6 +182,50 @@ DEEP_INPUT_CALLS = {
 def test_deep_input_is_a_budget_error(call):
     with pytest.raises(RecursionDepthExceeded):
         DEEP_INPUT_CALLS[call]()
+
+
+_fresh_names = (f"w{i}" for i in itertools.count())
+
+
+def _warm_chain(depth):
+    """A box chain whose every level has its key and length cached.
+
+    Each chain is over a fresh variable, so no cached clause equals it.
+    """
+    c = Clause(literals=frozenset([Literal(next(_fresh_names))]))
+    for _ in range(depth):
+        c = Clause(boxes=frozenset([c]))
+        clause_key(c)
+        clause_length(c)
+    return c
+
+
+def _warm_pair():
+    # two 500-level chains fit in KEY_CACHE_SIZE; their keys nest 500 deep
+    return frozenset([_warm_chain(500), _warm_chain(500)])
+
+
+# calls whose keys are all cached, so no key computation meets the stack
+# first: the sorts compare nested key tuples recursively (past the stack on
+# Python 3.10 and 3.11; 3.12 and later may return)
+WARM_DEEP_CALLS = {
+    "clause_to_json": lambda: clause_to_json(_warm_chain(1000)),
+    "sorted_clauses": lambda: sorted_clauses(_warm_pair()),
+    "cnf_key": lambda: cnf_key(_warm_pair()),
+    "cnf_to_formula": lambda: cnf_to_formula(_warm_pair()),
+    "subsumption_reduce": lambda: subsumption_reduce(_warm_pair()),
+    "residue_detailed": lambda: residue_detailed(_warm_pair()),
+    "covering_implicate": lambda: covering_implicate(_warm_pair(), cl("p")),
+    "sorted_implicates": lambda: PicResult(_warm_pair(), 0, (), True).sorted_implicates(),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WARM_DEEP_CALLS))
+def test_deep_input_with_cached_keys_is_never_a_bare_recursion_error(call):
+    try:
+        WARM_DEEP_CALLS[call]()
+    except RecursionDepthExceeded:
+        pass  # a bare RecursionError fails the test
 
 
 # each connective nested deeper than the stack, on the left or the right
