@@ -1,24 +1,29 @@
 """Kripke semantics for K: model checking, satisfiability, local consequence.
 
-Satisfiability is decided by a labeled tableau: conjunctions expand,
-disjunctions branch, and once a world is propositionally saturated each
-diamond spawns a successor seeded with every box body.  K needs no frame
-conditions, so a dead-end world satisfies every box.  Open tableaux yield
-finite tree models of depth at most the modal depth of the query, which the
-caller can re-check with model_check.  A model holds one frozenset per
-distinct valuation image: variables true at the same worlds share it, a
-variable true nowhere holds syntax.EMPTY, and one true everywhere holds the
-world set itself.
+Satisfiability is decided by a labeled tableau: conjunctions expand, all
+of a node's at once, disjunctions branch, and once a world is
+propositionally saturated each diamond spawns a successor seeded with
+every box body.  K needs no frame conditions, so a dead-end world
+satisfies every box.  Open tableaux yield finite tree models of depth at
+most the modal depth of the query, which the caller can re-check with
+model_check.  A model holds one frozenset per distinct valuation image:
+variables true at the same worlds share it, a variable true nowhere holds
+syntax.EMPTY, and one true everywhere holds the world set itself.
 
 A Tableau owns its node budget and its memo of finished verdicts: every
 search through it, an EntailmentOracle's included, runs under that budget,
-and the Tableau counts each search's nodes itself.  A node's formula set is
-built from sets that already hold their members' hashes, but a formula
-does not keep its own: each one the search adds to a set is hashed again
-in full, recursively.  Every conjunction split re-hashes both of its
-sides, so a right-nested conjunction is re-hashed once per split.  Only
-an interned tableau (ROADMAP direction 4) removes that, and it waits on
-the benchmark's RSS fix (direction 2).  A search keeps the sort key of every
+and the Tableau counts each search's nodes itself.  A node is a set of
+formulas, and one node expands every conjunction in its set at once,
+nested ones included: the set of what is left when all of them are
+replaced by their conjuncts is the next node, whatever way they nest, and
+the split walks an explicit stack, not the interpreter's.  A formula does
+not keep its own hash, so each member of that set is hashed once, in full,
+recursively, as the set is built, and no conjunction's remainder is
+hashed again.  What still re-hashes is the rest of the search: each Or
+split hashes the disjunction it removes and the branch it adds, and each
+modal step hashes every box body once and each diamond body it visits.
+Only an interned tableau (ROADMAP direction 4) removes that, and it waits
+on the benchmark's RSS fix (direction 2).  A search keeps the sort key of every
 formula object it orders, and of every subformula formula_sort_key
 recurses into, for that search only, and computes none where only one
 formula is left to choose from.
@@ -185,9 +190,12 @@ class Tableau:
 
     node_budget, the only tableau budget, caps the nodes of each search;
     the tableau counts the nodes of its current search itself, so it runs
-    one search at a time.  The cache only stores finished verdicts for
-    formula sets.  A search computes the sort key of each formula object
-    it orders, subformulas included, at most once.
+    one search at a time.  A node splits every conjunction it holds in one
+    step, so a conjunction costs no node of its own, however deep it
+    nests: a search counts one node per formula set it expands.  The cache
+    only stores finished verdicts for formula sets, one per node.  A search
+    computes the sort key of each formula object it orders (the disjunctions
+    it splits and the diamonds it visits), subformulas included, at most once.
     """
 
     def __init__(self, node_budget: int = DEFAULT_NODE_BUDGET):
@@ -280,9 +288,16 @@ class Tableau:
     def _expand(self, formulas: frozenset) -> _Tree | None:
         ands = [f for f in formulas if isinstance(f, And)]
         if ands:
-            f = self._least(ands)
-            rest = (formulas - {f}) | {f.left, f.right}
-            return self._solve(rest)
+            # one node splits every conjunction, nested ones included; a
+            # conjunct is hashed once as it joins the set, a remainder never
+            split = {f for f in formulas if not isinstance(f, And)}
+            while ands:
+                f = ands.pop()
+                if isinstance(f, And):
+                    ands += f.left, f.right
+                else:
+                    split.add(f)
+            return self._solve(split)
 
         ors = [f for f in formulas if isinstance(f, Or)]
         if ors:

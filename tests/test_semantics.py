@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -8,6 +9,7 @@ from kprime import (
     Diamond,
     KripkeModel,
     Not,
+    Or,
     RecursionDepthExceeded,
     TableauBudgetExceeded,
     Tableau,
@@ -231,6 +233,49 @@ def test_deep_nesting_is_a_budget_error(tableau):
         tableau.entails(deep, Var("p"))
     with pytest.raises(RecursionDepthExceeded):
         tableau.refutes(deep)
+    # conjunction chains as deep, either way round, from a warm memo that
+    # each failed search leaves as it found it
+    tableau.satisfiable(parse("<>p & []q"))
+    memo = dict(tableau._memo)
+    atoms = [Var(f"p{i}") for i in range(5000)]
+    for chain in (_right_nested(atoms), reduce(And, atoms)):
+        with pytest.raises(RecursionDepthExceeded):
+            tableau.satisfiable(chain)
+        with pytest.raises(RecursionDepthExceeded):
+            tableau.entails(chain, Var("p"))
+        with pytest.raises(RecursionDepthExceeded):
+            tableau.refutes(chain)
+        assert tableau._memo == memo
+
+
+def _right_nested(conjuncts):
+    return reduce(lambda rest, c: And(c, rest), reversed(conjuncts[:-1]), conjuncts[-1])
+
+
+def _balanced(conjuncts):
+    if len(conjuncts) == 1:
+        return conjuncts[0]
+    half = len(conjuncts) // 2
+    return And(_balanced(conjuncts[:half]), _balanced(conjuncts[half:]))
+
+
+def test_search_does_not_depend_on_how_conjunctions_nest():
+    # every conjunction splits in one node, so below the root the same
+    # conjuncts meet the same sets however they were joined
+    clauses = [parse(text) for text in (
+        "p | q", "~p | []r", "~q | <>(s & ~r)", "[](r | s) | ~s", "<>r | ~p", "q | <>~s")]
+    searches = []
+    for root in (_right_nested(clauses), reduce(And, clauses), _balanced(clauses)):
+        tableau = Tableau()
+        verdict = tableau.satisfiable(root)
+        below_root = {key: tree for key, tree in tableau._memo.items() if key != {root}}
+        searches.append((verdict.satisfiable, verdict.model.to_json(), tableau._nodes, below_root))
+    assert searches[0] == searches[1] == searches[2]
+    assert searches[0][2] == 62
+    # a chain of conjuncts costs no stack: 400 of them are one node's split
+    wide = _right_nested([Or(Var(f"p{i}"), Var(f"q{i}")) for i in range(400)])
+    verdict = Tableau().satisfiable(wide)
+    assert verdict.satisfiable and model_check(verdict.model, verdict.world, wide)
 
 
 # (formula, satisfiable, memo entries and nodes of a cold search, model as
@@ -238,13 +283,13 @@ def test_deep_nesting_is_a_budget_error(tableau):
 # the ~bot conjuncts and disjuncts the search drops, bot branches, and
 # subformulas the parse shares.
 PINNED_SEARCHES = [
-    ("(p | ~bot) & ~bot & <>(~bot & q) & [](r | ~bot) & (~bot | ~p)", True, 10,
+    ("(p | ~bot) & ~bot & <>(~bot & q) & [](r | ~bot) & (~bot | ~p)", True, 7,
      {"rel": [[0, 1]], "root": 0, "val": {"p": [0], "q": [1], "r": [1]}, "worlds": [0, 1]}),
-    ("(bot | p) & <>(bot | q) & [](~q | bot | r) & <>~r", True, 13,
+    ("(bot | p) & <>(bot | q) & [](~q | bot | r) & <>~r", True, 11,
      {"rel": [[0, 1], [0, 2]], "root": 0, "val": {"p": [0], "q": [2], "r": [2]},
       "worlds": [0, 1, 2]}),
-    ("(bot | p) & <>(bot | q) & [](~q | bot)", False, 7, None),
-    ("((p -> q) <-> <>(p -> q)) & []((p -> q) | <>(p -> q)) & <>~(p -> q)", True, 15,
+    ("(bot | p) & <>(bot | q) & [](~q | bot)", False, 6, None),
+    ("((p -> q) <-> <>(p -> q)) & []((p -> q) | <>(p -> q)) & <>~(p -> q)", True, 13,
      {"rel": [[0, 1], [1, 2]], "root": 0, "val": {"p": [0, 1], "q": []},
       "worlds": [0, 1, 2]}),
 ]
@@ -266,7 +311,7 @@ def test_warm_memo_searches_are_pinned():
     for text in texts + texts[::-1]:
         tableau.satisfiable(parse(text))
         seen.append((len(tableau._memo), tableau._nodes))
-    assert seen == [(10, 10), (22, 12), (27, 5), (42, 15)] + [(42, 0)] * 4
+    assert seen == [(7, 7), (17, 10), (21, 4), (34, 13)] + [(34, 0)] * 4
 
 
 def test_model_validation():
