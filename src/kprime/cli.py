@@ -17,9 +17,9 @@ from .cnf import single_clause, to_cnf
 from .errors import BudgetExceeded, ParseError
 from .normalization import make_cnf
 from .parser import parse
-from .pic import EntailmentOracle, PicConfig, clause_order, covering_implicate, prime_implicates
+from .pic import PicConfig, clause_order, covering_implicate, prime_implicates
 from .selftest import DEFAULT_SEED, run_all
-from .semantics import DEFAULT_NODE_BUDGET, Tableau
+from .semantics import Tableau
 from .syntax import clause_from_json, clause_to_json, is_variable_name
 
 USAGE_ERROR, BUDGET_ERROR = 2, 3
@@ -81,8 +81,7 @@ def cmd_compile(args) -> int:
         max_iterations=args.max_iter,
         clause_budget=args.clause_budget,
     )
-    oracle = EntailmentOracle(Tableau(node_budget=args.node_budget))
-    result = prime_implicates(kb, config, oracle, trace=args.trace)
+    result = prime_implicates(kb, config, trace=args.trace)
     for step in result.steps:
         print(json.dumps(step.to_json(), sort_keys=True))
     if args.json:
@@ -97,7 +96,6 @@ def cmd_compile(args) -> int:
 
 
 def cmd_query(args) -> int:
-    oracle = EntailmentOracle(Tableau(node_budget=args.node_budget))
     try:
         compiled = json.loads(_read_file(args.compiled_file))
         pi = [clause_from_json(obj) for obj in compiled["prime_implicates"]]
@@ -107,7 +105,7 @@ def cmd_query(args) -> int:
         q = single_clause(parse(args.clause))
     except ValueError as e:
         raise CliError(f"--clause: {e}") from e
-    cover = covering_implicate(pi, q, oracle)
+    cover = covering_implicate(pi, q)
     if cover is None:
         print("false")
         return 1
@@ -117,7 +115,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_prove(args) -> int:
-    verdict = Tableau(node_budget=args.node_budget).satisfiable(parse(args.formula))
+    verdict = Tableau().satisfiable(parse(args.formula))
     if not verdict.satisfiable:
         print("UNSAT")
         return 1
@@ -148,11 +146,6 @@ def cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _add_node_budget(p: argparse.ArgumentParser):
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET, metavar="N",
-                   help="nodes each tableau search may expand")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kprime",
@@ -169,18 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clause-budget", type=int, default=PicConfig.clause_budget, metavar="N")
     p.add_argument("--formula", action="store_true",
                    help="treat the file as one formula and convert it first")
-    _add_node_budget(p)
     p.set_defaults(run=cmd_compile)
 
     p = sub.add_parser("query", help="answer a clause query from a compiled file")
     p.add_argument("compiled_file")
     p.add_argument("--clause", required=True, metavar="TEXT")
-    _add_node_budget(p)
     p.set_defaults(run=cmd_query)
 
     p = sub.add_parser("prove", help="decide satisfiability of a formula")
     p.add_argument("formula")
-    _add_node_budget(p)
     p.set_defaults(run=cmd_prove)
 
     p = sub.add_parser("oracle", help="brute-force prime implicates within bounds")

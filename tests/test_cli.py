@@ -263,38 +263,6 @@ def test_budget_error_exits_three(tmp_path, capsys):
     assert "budget" in err.lower() or "Budget" in err
 
 
-def _tableau_commands(tmp_path, capsys):
-    """compile, query and prove argument lists that each run tableau searches."""
-    compiled = tmp_path / "compiled.json"
-    compiled.write_text(run_cli(capsys, "compile", str(EXAMPLE), "--json")[1])
-    return [("compile", str(EXAMPLE), "--json"),
-            ("query", str(compiled), "--clause", "[]p"),
-            ("prove", "<>(p & q) & [](~p | r) & (p | <>r)")]
-
-
-def test_node_budget_default_changes_no_output(tmp_path, capsys):
-    for argv in _tableau_commands(tmp_path, capsys):
-        plain = run_cli(capsys, *argv)
-        assert plain[0] in (0, 1) and plain[1]
-        for nodes in ("100000", "1000"):
-            assert run_cli(capsys, *argv, "--node-budget", nodes) == plain
-
-
-@pytest.mark.parametrize("nodes", ["0", "-3"])
-def test_node_budget_below_one_exits_two(tmp_path, capsys, nodes):
-    for argv in _tableau_commands(tmp_path, capsys):
-        code, out, err = run_cli(capsys, *argv, "--node-budget", nodes)
-        assert (code, out, err) == (2, "", "kprime: node_budget must be a positive integer\n")
-
-
-def test_node_budget_exceeded_exits_three_and_names_it(tmp_path, capsys):
-    for argv in _tableau_commands(tmp_path, capsys):
-        code, out, err = run_cli(capsys, *argv, "--node-budget", "3")
-        assert (code, out) == (3, "")
-        assert err.startswith("kprime: TableauBudgetExceeded: tableau search expanded 4 nodes")
-        assert "over the budget of 3" in err and err.count("\n") == 1
-
-
 def test_deep_negation_in_prove_exits_three(capsys):
     code, out, err = run_cli(capsys, "prove", "~" * 1000 + "p")
     assert code == 3
