@@ -2,9 +2,10 @@
 
 Parse formulas, convert them to modal clauses, compile a knowledge base
 into its prime implicates with the direct resolution calculus, and answer
-entailment queries from the compiled set.  A tableau decides K entailment
-throughout; a bounded brute-force enumerator provides independent ground
-truth at test scale.
+entailment queries from the compiled set.  A tableau decides K entailment,
+except for the clause pairs the compiler's residue settles by structure
+(pic.entails_structurally); a bounded brute-force enumerator provides
+independent ground truth at test scale.
 """
 
 from .brute import enumerate_clauses, prime_implicates_brute, within_bounds

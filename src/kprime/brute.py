@@ -2,7 +2,8 @@
 
 Builds every normal-form clause over a bounded vocabulary, modal nesting
 and per-level component count, filters the ones a knowledge base entails,
-and minimizes with the same residue as the compiler.  This is a test
+and minimizes them by tableau entailment alone, so the reference shares
+no entailment code with the compiler's residue.  This is a test
 instrument: the bounds explode combinatorially, so keep them at desk scale.
 MAX_CLAUSE_SPACE (100,000 clauses) enforces that: p, q at depth 1, width 2
 (2,486 clauses) and p, q, r there (33,671) fit, while p, q at depth 2,
@@ -18,7 +19,7 @@ from math import comb
 
 from .errors import ClauseBudgetExceeded, RecursionDepthExceeded
 from .normalization import box, diamond, disjoin, literal, simplify_cnf
-from .pic import EntailmentOracle, residue_detailed
+from .pic import EntailmentOracle, _antichain
 from .syntax import BOTTOM_CLAUSE, Clause, Cnf, Literal, clause_key
 
 MAX_CLAUSE_SPACE = 100_000  # clauses enumerate_clauses may build for one set of bounds
@@ -138,11 +139,13 @@ def prime_implicates_brute(
 ) -> frozenset:
     """Reference prime implicates inside the bounded clause space.
 
-    Without an oracle, a fresh one serves this call.
+    The implicates are minimized by the oracle's tableau alone, never by
+    the structural check the compiler's residue tries first.  Without an
+    oracle, a fresh one serves this call.
     """
     oracle = oracle or EntailmentOracle()
     u = simplify_cnf(u)
     implicates = [
         c for c in enumerate_clauses(vocab, depth, width) if oracle.is_implicate(u, c)
     ]
-    return frozenset(residue_detailed(implicates, oracle)[0])
+    return frozenset(_antichain(implicates, oracle.clause_entails)[0])

@@ -13,7 +13,49 @@ clauses are one object: the stages share a dict of every clause met so
 far, a closure clause equal to one of them is replaced by it, and a new
 one reuses the equal literal, box and diamond parts the dict holds.
 
-Clause-to-clause entailment rides on the tableau, whose memo is the one
+The residue reads entailment off the two clauses where it can
+(entails_structurally).  Write c = L | []B1 | ... | []Bs | <>T1 | ... | <>Tr,
+with L its literals and each Tm a clause set, and let E be T1 | ... | Tr
+spread into a clause set: one member of each Tm, joined by disjoin, per
+clause; bottom alone for r = 0, and no clause (verum) if some Tm is empty.
+A K-model of ~c is a world that falsifies L and has one successor per
+<>~Bj, where ~Bj holds, and every successor satisfies ~T1, ..., ~Tr, that
+is ~E.  The successors are independent of each other and of the world's
+literals, so ~c has a model iff L holds no complementary pair and each
+~Bj & ~E has one:
+
+  valid(c) iff L holds a complementary pair or some j has Bj | E valid.
+
+A disjunction d entails c iff each disjunct of d does, and every disjunct
+entails a valid c.  If c is not valid, a countermodel of c exists, and:
+
+  * a literal l entails c iff l is in L, since ~c leaves the world's
+    other literals free;
+  * []D entails c iff some j has D |= Bj | E: D holds at every successor,
+    so at the one for <>~Bj too, and with no j the successor-free world
+    of ~c satisfies []D;
+  * <>S entails c iff S |= E: the successor S asks for also bears ~E, and
+    the successors of ~c are there already.
+
+A clause entails a clause set iff it entails each member, and a clause set
+S entails a clause e if one member does: exactly when S has one member,
+and for the empty S (verum) iff e is valid.  With two or more members
+their conjunction may entail e where no member does; in K that cannot
+happen when S holds its own prime implicates (Bienvenu, JAIR 36, 2009),
+but compiled diamond bodies need not, so the check answers None there.
+It also answers None where spreading one clause's diamonds would give more
+than MAX_OBLIGATIONS clauses, and where a part of the answer is None
+unless the other parts settle it (a False conjunct, a True disjunct).  A
+None is never read as False: a failed rule is False only once c is known
+not to be valid.  The residue asks the oracle about exactly the pairs the
+check leaves open, so its kept clauses, dropped pairs and witnesses are
+the tableau's own.  Queries (covering_implicate) and KB checks
+(is_implicate) still go to the tableau: routing queries through the check
+measured 3.4x query-space throughput, but the benchmark keeps the record
+of every item it completes, so that would read as a peak-RSS regression
+past its bound until the benchmark stops keeping them (ROADMAP direction 2).
+
+Every other entailment check rides on the tableau, whose memo is the one
 verdict cache: a repeated check, clause pair or KB question alike, is
 answered at the root of its search and spends no node.  An
 EntailmentOracle keeps the formula of every clause it has compared as the
@@ -32,9 +74,10 @@ outcome carries over between calls the caller did not tie together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, product
 
 from .errors import BudgetExceeded, RecursionDepthExceeded
-from .normalization import simplify, simplify_cnf
+from .normalization import BOTTOM_CNF, disjoin, simplify, simplify_cnf
 from .resolution import closure_step_traced
 from .semantics import Tableau
 from .syntax import (
@@ -199,10 +242,133 @@ def residue_detailed(clauses, oracle: EntailmentOracle | None = None):
     Returns (kept, dropped): kept is the antichain of strongest clauses,
     one smallest representative per equivalence class, ordered by
     (length, key); dropped pairs each removed clause with a kept clause
-    that entails it.  Without an oracle, a fresh one serves this call.
+    that entails it.  entails_structurally decides each pair it can, and
+    the oracle the rest.  Without an oracle, a fresh one serves this call.
     """
     oracle = oracle or EntailmentOracle()
-    return _antichain(clauses, oracle.clause_entails)
+
+    def entails(d: Clause, c: Clause) -> bool:
+        verdict = entails_structurally(d, c)
+        return oracle.clause_entails(d, c) if verdict is None else verdict
+
+    return _antichain(clauses, entails)
+
+
+MAX_OBLIGATIONS = 64  # clauses entails_structurally may spread one clause's diamonds into
+
+
+def entails_structurally(d: Clause, c: Clause) -> bool | None:
+    """Whether d entails c, read off the two clauses; None where the rules cannot tell.
+
+    True and False are exact; None is neither and leaves the pair to the
+    tableau.  Stateless: nothing is kept between calls.  The rules are in
+    the module docstring.  RecursionDepthExceeded if either clause is
+    nested deeper than the stack allows.
+    """
+    try:
+        return _entails(d, c)
+    except RecursionError:
+        raise RecursionDepthExceeded("clause nested too deep to compare") from None
+
+
+# Three-valued connectives: None is unknown, and stays unknown unless a
+# False conjunct or a True disjunct settles the answer without it.
+
+
+def _all(verdicts) -> bool | None:
+    out = True
+    for v in verdicts:
+        if v is False:
+            return False
+        if v is None:
+            out = None
+    return out
+
+
+def _any(verdicts) -> bool | None:
+    out = False
+    for v in verdicts:
+        if v:
+            return True
+        if v is None:
+            out = None
+    return out
+
+
+def _entails(d: Clause, c: Clause) -> bool | None:
+    obligations = _spread(c.diamonds)
+    verdict = _rules(d, c, obligations)
+    if verdict:
+        return True
+    # the rules are sound for every c, but complete only when c is not valid
+    valid = _valid(c, obligations)
+    if valid:
+        return True
+    return False if valid is False and verdict is False else None
+
+
+def _spread(diamonds) -> Cnf | None:
+    """T1 | ... | Tr for the bodies of <>T1 | ... | <>Tr, as a clause set.
+
+    One member of each body, disjoined, per clause: bottom alone for no
+    diamonds, no clause (verum) if some body is empty, and None past
+    MAX_OBLIGATIONS clauses.
+    """
+    if len(diamonds) <= 1:
+        return next(iter(diamonds)) if diamonds else BOTTOM_CNF
+    size = 1
+    for body in diamonds:
+        size *= len(body)
+    if size > MAX_OBLIGATIONS:
+        return None
+    return frozenset(disjoin(*members) for members in product(*diamonds))
+
+
+def _valid(c: Clause, obligations) -> bool | None:
+    """Whether c holds everywhere: its literals clash, or some []B has B | T1 | ... | Tr valid."""
+    if len({lit.variable for lit in c.literals}) < len(c.literals):
+        return True
+    if not c.boxes:
+        return False
+    if obligations is None:
+        return None
+    return _any(_all(_valid(e, _spread(e.diamonds)) for e in _under(b, obligations))
+                for b in c.boxes)
+
+
+def _under(b: Clause, obligations) -> list:
+    """The clauses of B | T1 | ... | Tr, for the spread T1 | ... | Tr."""
+    return [disjoin(b, e) for e in obligations]
+
+
+def _rules(d: Clause, c: Clause, obligations) -> bool | None:
+    """Whether every disjunct of d entails c, exact when c is not valid."""
+    if not d.literals <= c.literals:
+        return False
+    if not d.boxes and not d.diamonds:
+        return True
+    if obligations is None:
+        return None
+    return _all(chain(
+        # []D: some []B of c has D |= B | T1 | ... | Tr
+        (_any(_all(_entails(bd, e) for e in _under(b, obligations)) for b in c.boxes)
+         for bd in d.boxes),
+        # <>S: S |= T1 | ... | Tr, clause by clause
+        (_all(_body_entails(s, e) for e in obligations) for s in d.diamonds),
+    ))
+
+
+def _body_entails(s, e: Clause) -> bool | None:
+    """Whether the clause set s entails e: exact for at most one member.
+
+    Some member entailing e is enough.  When none does, a set of two or
+    more may still entail e by their conjunction, which the rules do not
+    see, so the answer is None.
+    """
+    if not s:
+        return _valid(e, _spread(e.diamonds))
+    verdict = _any(_entails(m, e) for m in s)
+    return None if verdict is False and len(s) > 1 else verdict
 
 
 def subsumes(d: Clause, c: Clause) -> bool:

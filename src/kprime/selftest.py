@@ -19,11 +19,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable, NamedTuple
 
 from .brute import enumerate_clauses, prime_implicates_brute, within_bounds
 from .cnf import single_clause, to_cnf
 from .errors import (
+    BudgetExceeded,
     ClauseBudgetExceeded,
     RecursionDepthExceeded,
     TableauBudgetExceeded,
@@ -34,7 +36,10 @@ from .parser import parse
 from .pic import (
     EntailmentOracle,
     PicConfig,
+    _antichain,
+    clause_order,
     covering_implicate,
+    entails_structurally,
     prime_implicates,
     residue_detailed,
 )
@@ -306,7 +311,8 @@ def check_covering_agreement(rng: random.Random, kbs: int):
 
 
 def check_residue_contract(rng: random.Random, sets: int):
-    """Residue output is an antichain that covers its input, deterministically."""
+    """Residue output is an antichain that covers its input, deterministically,
+    and is what the tableau alone keeps and drops."""
     failures = []
     checked = 0
     oracle = EntailmentOracle()
@@ -333,6 +339,9 @@ def check_residue_contract(rng: random.Random, sets: int):
         for c, witness in dropped:
             if not oracle.clause_entails(witness, c):
                 failures.append(f"set {i}: recorded witness does not entail {c}")
+        # the structural check only saves tableau searches: same kept set, same witnesses
+        if (kept, dropped) != _antichain(pool, oracle.clause_entails):
+            failures.append(f"set {i}: residue differs from the tableau-only antichain")
     return checked, failures, ()
 
 
@@ -419,6 +428,58 @@ def check_query_agreement(rng: random.Random, kbs: int):
     return checked, failures, ()
 
 
+def check_structural_agreement(rng: random.Random, pairs: int):
+    """Every True or False of entails_structurally equals the tableau's verdict.
+
+    The first half of the pairs are random clauses (1-3 variables, depth
+    0-2, width 1-4 each); the rest are every ordered pair of the clauses
+    the residue of a seeded compile minimized (compile-mix KBs, clause cap
+    30), until the count is reached.
+    """
+    failures = []
+    checked = answered = 0
+    oracle = EntailmentOracle()
+    config = PicConfig(max_iterations=8, clause_budget=30)
+
+    def compare(d, c, where):
+        nonlocal checked, answered
+        checked += 1
+        verdict = entails_structurally(d, c)
+        if verdict is not None:
+            answered += 1
+            if verdict != oracle.clause_entails(d, c):
+                failures.append(f"{where}: structural check says {verdict} for {d} |= {c}")
+
+    def vocab():
+        return ("p", "q", "r")[: rng.randint(1, 3)]
+
+    def clause(v):
+        return random_clause(rng, v, depth=rng.randint(0, 2), width=rng.randint(1, 4))
+
+    for i in range(pairs // 2):
+        v = vocab()
+        compare(clause(v), clause(v), f"pair {i}")
+    kb_index = 0
+    while checked < pairs:
+        kb_index += 1
+        kb = random_kb(rng, vocab(), clauses=rng.randint(1, 4), depth=rng.randint(0, 2),
+                       width=rng.randint(1, 4))
+        try:
+            result = prime_implicates(kb, config, oracle)
+        except BudgetExceeded:
+            continue
+        pool = set(result.prime_implicates)
+        if result.trace and result.trace[-1].stage > result.iterations:  # the residue's record
+            pool.update(c for c, _ in result.trace[-1].dropped)
+        for d, c in permutations(sorted(pool, key=clause_order), 2):
+            if checked == pairs:
+                break
+            compare(d, c, f"KB {kb_index}")
+    info = [f"{answered} of {checked} pairs answered structurally "
+            f"({answered / max(checked, 1):.1%}), the rest left to the tableau"]
+    return checked, failures, info
+
+
 def check_budget_mechanisms():
     """Every resource cap exists and fails loudly, never silently.
 
@@ -496,6 +557,7 @@ SUITES = (
     Suite("oracle-cross-validation", check_oracle_cross_validation, full=500, quick=50),
     Suite("query-agreement", check_query_agreement, full=20, quick=3),
     Suite("budget-mechanisms", check_budget_mechanisms),
+    Suite("structural-agreement", check_structural_agreement, full=20000, quick=2000),
 )
 
 

@@ -28,7 +28,7 @@ from kprime import (
 from kprime import cnf, nnf, pic, resolution, semantics
 from kprime.brute import enumerate_clauses, prime_implicates_brute
 from kprime.generators import random_clause, random_kb
-from kprime.pic import clause_order, subsumes, subsumption_reduce
+from kprime.pic import clause_order, entails_structurally, subsumes, subsumption_reduce
 from kprime.selftest import example_expected, example_kb
 from kprime.syntax import (
     EMPTY,
@@ -81,6 +81,74 @@ def test_residue_witnesses_entail_their_clauses(oracle):
     kept, dropped = residue_detailed([cl("p"), cl("p | q"), cl("p | r")])
     assert kept == (cl("p"),)
     assert all(oracle.clause_entails(w, c) for c, w in dropped)
+
+
+# valid only through its box: the box body's three diamonds spread into
+# 5 * 5 * 3 = 75 clauses, past MAX_OBLIGATIONS, one level below the top
+NESTED_VALID = (
+    "q | []([]bot | <>(p & (p | a) & (p | b) & (p | c) & (p | d))"
+    " | <>(~p & (~p | a) & (~p | b) & (~p | c) & (~p | d)) | <>(q & r & s))"
+)
+
+
+def test_structural_check_never_reads_an_open_obligation_as_false(oracle):
+    d, c = cl("~p | r"), cl(NESTED_VALID)
+    assert pic.MAX_OBLIGATIONS < 75
+    assert oracle.clause_entails(d, c)  # c is valid
+    # the literals of d are not in c, and whether c is valid is open below
+    assert entails_structurally(d, c) is None
+    assert residue_detailed([d, c], oracle) == ((d,), ((c, d),))
+
+
+@pytest.mark.parametrize("d, c, verdict", [
+    # <>T with an empty T (verum), on either side
+    ("<>~bot", "<>~bot", True),
+    ("<>~bot", "<>p", False),
+    ("<>~bot", "<>(p | ~p)", True),
+    ("p", "<>~bot", False),
+    ("[]p", "[]q | <>~bot", True),  # valid: a []-successor would have to be none
+    # bottom, on either side
+    ("bot", "<>p", True),
+    ("bot", "bot", True),
+    ("p", "bot", False),
+    ("<>~bot", "bot", False),
+    # one member of a body is enough; with two, their conjunction may be needed
+    ("<>(p & q)", "<>p | r", True),
+    ("<>(p & (~p | q))", "<>q", None),
+    ("<>(p & ~p)", "bot", None),
+    ("<>([]p & []~p)", "<>([]bot & []p)", None),
+])
+def test_structural_check_edges(oracle, d, c, verdict):
+    d, c = cl(d), cl(c)
+    assert entails_structurally(d, c) is verdict
+    # where the rules are silent, d entails c all the same: the tableau decides
+    assert oracle.clause_entails(d, c) is (verdict is not False)
+
+
+def test_residue_asks_the_oracle_only_what_the_rules_leave_open(monkeypatch):
+    pool = [cl(t) for t in ("p", "p | q", "<>q", "[]p | <>q", "<>(p & (~p | q))")]
+    oracle = EntailmentOracle()
+    asked = []
+    clause_entails = oracle.clause_entails
+
+    def recording(d, c):
+        asked.append((d, c))
+        return clause_entails(d, c)
+
+    monkeypatch.setattr(oracle, "clause_entails", recording)
+    assert residue_detailed(pool, oracle) == pic._antichain(pool, clause_entails)
+    assert asked and all(entails_structurally(d, c) is None for d, c in asked)
+
+
+def test_brute_reference_does_not_use_the_structural_check(monkeypatch):
+    def refuse(d, c):
+        raise AssertionError("structural check called")
+
+    monkeypatch.setattr(pic, "entails_structurally", refuse)
+    with pytest.raises(AssertionError, match="structural check called"):
+        residue_detailed([cl("p"), cl("p | q")])  # the compiler's residue does use it
+    kb = make_cnf([cl("p | q"), cl("~q")])
+    assert prime_implicates_brute(kb, ("p", "q"), 0, 2) == {cl("p"), cl("~q")}
 
 
 def test_subsumes_basics():
@@ -586,12 +654,13 @@ def test_first_pass_witness_is_the_first_kept_dominator(rng):
     assert evicted and saved
 
 
-# needs more tableau nodes than 30 when its verdict caches are cold
+# its residue leaves pairs to the tableau (entails_structurally answers None
+# for them), which then needs more nodes than 30 when its memo is cold: a
+# node budget of 20 or 30 stops the compile at stage 4
 BUDGET_KB = (
-    "~p | [](~p | <>((p | ~p) & (~q & (r | ~r))))",
-    "~q | []~p | [](r | [](p | r))",
-    "r",
-    "~q",
+    "[]r",
+    "p | []<>q",
+    "~q | []<>((p | ~r) & (~p | r))",
 )
 
 

@@ -34,6 +34,7 @@ from kprime import (
     within_bounds,
 )
 from kprime.generators import random_clause, random_formula
+from kprime.pic import entails_structurally
 from kprime.syntax import (
     BOTTOM_CLAUSE,
     TOP,
@@ -172,6 +173,9 @@ DEEP_INPUT_CALLS = {
     "nnf": lambda: nnf(_deep_formula()),
     "simplify": lambda: simplify(_deep_clause()),
     "subsumes": lambda: subsumes(_deep_clause(), _deep_clause()),
+    "entails_structurally": lambda: entails_structurally(_deep_clause(), _deep_clause()),
+    "entails_structurally_diamonds": lambda: entails_structurally(
+        _deep_diamond_clause(), _deep_diamond_clause()),
     "within_bounds": lambda: within_bounds(_deep_clause(), ("p",), 6000, 1),
     "eq_clause": lambda: _deep_clause() == _deep_clause(),
     "repr_clause": lambda: repr(_deep_clause()),
