@@ -8,7 +8,7 @@ except for the clause pairs the compiler's residue settles by structure
 independent ground truth at test scale.
 """
 
-from .brute import enumerate_clauses, prime_implicates_brute, within_bounds
+from .brute import enumerate_clauses, prime_implicates_brute
 from .cnf import nnf, single_clause, to_cnf
 from .errors import (
     BudgetExceeded,
@@ -72,7 +72,6 @@ from .syntax import (
 __all__ = [
     "enumerate_clauses",
     "prime_implicates_brute",
-    "within_bounds",
     "nnf",
     "single_clause",
     "to_cnf",

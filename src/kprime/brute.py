@@ -1,33 +1,31 @@
 """Small-instance ground truth by exhaustive clause enumeration.
 
-Builds every normal-form clause over a bounded vocabulary, modal nesting
-and per-level component count, filters the ones a knowledge base entails,
-and minimizes them by tableau entailment alone, so the reference shares
-no entailment code with the compiler's residue.  This is a test
-instrument: the bounds explode combinatorially, so keep them at desk scale.
-MAX_CLAUSE_SPACE (100,000 clauses) enforces that: p, q at depth 1, width 2
-(2,486 clauses) and p, q, r there (33,671) fit, while p, q at depth 2,
-width 2 (about 4.8e12) raises ClauseBudgetExceeded before anything is built.
-A negative depth or width raises ValueError in every function here.
+enumerate_clauses builds every normal-form clause over a bounded
+vocabulary, modal nesting and per-level component count; it is the one
+definition of that space, and a clause lies within the bounds exactly
+when it is a member.  prime_implicates_brute keeps the candidates a
+knowledge base entails and minimizes them by tableau entailment alone, so
+the reference shares no entailment code with the compiler's residue.
+Nothing here is cached: a caller that asks about one space many times
+builds it once and holds it.  This is a test instrument: the bounds
+explode combinatorially, so keep them at desk scale.  MAX_CLAUSE_SPACE
+(100,000 clauses) enforces that: p, q at depth 1, width 2 (2,486 clauses)
+and p, q, r there (33,671) fit, while p, q at depth 2, width 2 (about
+4.8e12) raises ClauseBudgetExceeded before anything is built.  A negative
+depth or width raises ValueError.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
 
-from .errors import ClauseBudgetExceeded, RecursionDepthExceeded
+from .errors import ClauseBudgetExceeded
 from .normalization import box, diamond, disjoin, literal, simplify_cnf
 from .pic import EntailmentOracle, _antichain
-from .syntax import BOTTOM_CLAUSE, Clause, Cnf, Literal, clause_key
+from .syntax import BOTTOM_CLAUSE, Cnf, Literal, clause_key
 
 MAX_CLAUSE_SPACE = 100_000  # clauses enumerate_clauses may build for one set of bounds
-
-
-def _check_bounds(depth: int, width: int) -> None:
-    if depth < 0 or width < 0:
-        raise ValueError(f"depth and width must not be negative (got {depth} and {width})")
 
 
 def _space_size(variables: int, depth: int, width: int) -> int:
@@ -61,9 +59,6 @@ def _space_size(variables: int, depth: int, width: int) -> int:
         pool = capped_sum(chain((2 * variables, size), diamonds))
 
 
-# a few spaces with the ones below them: enough for a suite that checks
-# many knowledge bases over one space, without keeping every space ever built
-@lru_cache(maxsize=4)
 def _clause_space(vocab: tuple, depth: int, width: int) -> tuple:
     if width == 0:
         return (BOTTOM_CLAUSE,)  # the one clause at every depth: no recursion
@@ -94,7 +89,8 @@ def enumerate_clauses(vocab, depth: int, width: int):
     the empty clause comes first.  Raises ClauseBudgetExceeded, before
     building any clause, when the space holds more than MAX_CLAUSE_SPACE.
     """
-    _check_bounds(depth, width)
+    if depth < 0 or width < 0:
+        raise ValueError(f"depth and width must not be negative (got {depth} and {width})")
     vocab = tuple(sorted(set(vocab)))  # a repeated variable adds nothing
     size = _space_size(len(vocab), depth, width)
     if size > MAX_CLAUSE_SPACE:
@@ -106,38 +102,10 @@ def enumerate_clauses(vocab, depth: int, width: int):
     return iter(_clause_space(vocab, depth, width))
 
 
-def within_bounds(c: Clause, vocab, depth: int, width: int) -> bool:
-    """Whether a clause lies inside the enumerated space for these bounds."""
-    _check_bounds(depth, width)
-    vocab = frozenset(vocab)
-    if c.component_count() > width:
-        return False
-    if any(l.variable not in vocab for l in c.literals):
-        return False
-    if (c.boxes or c.diamonds) and depth <= 0:
-        return False
-    try:
-        for b in c.boxes:
-            if not within_bounds(b, vocab, depth - 1, width):
-                return False
-        for s in c.diamonds:
-            if not s or len(s) > width:
-                return False
-            if any(m.is_bottom or not within_bounds(m, vocab, depth - 1, width) for m in s):
-                return False
-    except RecursionError:
-        raise RecursionDepthExceeded("clause nested too deep to bound") from None
-    return True
-
-
 def prime_implicates_brute(
-    u: Cnf,
-    vocab,
-    depth: int,
-    width: int,
-    oracle: EntailmentOracle | None = None,
+    u: Cnf, candidates, oracle: EntailmentOracle | None = None
 ) -> frozenset:
-    """Reference prime implicates inside the bounded clause space.
+    """Reference prime implicates among the candidates, usually a clause space.
 
     The implicates are minimized by the oracle's tableau alone, never by
     the structural check the compiler's residue tries first.  Without an
@@ -145,7 +113,5 @@ def prime_implicates_brute(
     """
     oracle = oracle or EntailmentOracle()
     u = simplify_cnf(u)
-    implicates = [
-        c for c in enumerate_clauses(vocab, depth, width) if oracle.is_implicate(u, c)
-    ]
+    implicates = [c for c in candidates if oracle.is_implicate(u, c)]
     return frozenset(_antichain(implicates, oracle.clause_entails)[0])

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .brute import prime_implicates_brute
+from .brute import enumerate_clauses, prime_implicates_brute
 from .cnf import single_clause, to_cnf
 from .errors import BudgetExceeded, ParseError
 from .normalization import make_cnf
@@ -132,7 +132,7 @@ def cmd_oracle(args) -> int:
         if not is_variable_name(v):
             raise CliError(f"--vars: not a variable name: {v!r}")
     kb = load_kb(args.kb_file, whole_formula=args.formula)
-    out = prime_implicates_brute(kb, vocab, args.depth, args.width)
+    out = prime_implicates_brute(kb, enumerate_clauses(vocab, args.depth, args.width))
     print(json.dumps([clause_to_json(c) for c in sorted(out, key=clause_order)], indent=2))
     return 0
 

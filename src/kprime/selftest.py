@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, NamedTuple
 
-from .brute import enumerate_clauses, prime_implicates_brute, within_bounds
+from .brute import enumerate_clauses, prime_implicates_brute
 from .cnf import single_clause, to_cnf
 from .errors import (
     BudgetExceeded,
@@ -287,6 +287,7 @@ def check_covering_agreement(rng: random.Random, kbs: int):
     checked = 0
     vocab = ("p", "q")
     depth, width = 1, 2
+    space = frozenset(enumerate_clauses(vocab, depth, width))
     config = PicConfig(max_iterations=15, clause_budget=600)
     oracle = EntailmentOracle()
     for i in range(kbs):
@@ -296,13 +297,13 @@ def check_covering_agreement(rng: random.Random, kbs: int):
             failures.append(f"KB {i}: compilation did not converge")
             continue
         pic_out = result.prime_implicates
-        brute_out = prime_implicates_brute(kb, vocab, depth, width, oracle)
+        brute_out = prime_implicates_brute(kb, space, oracle)
         for b in brute_out:
             checked += 1
             if not any(oracle.clause_entails(d, b) for d in pic_out):
                 failures.append(f"KB {i}: brute prime implicate uncovered: {b}")
         for d in pic_out:
-            if not within_bounds(d, vocab, depth, width):
+            if d not in space:
                 continue
             checked += 1
             if not any(oracle.clause_entails(b, d) for b in brute_out):

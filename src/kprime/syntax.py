@@ -316,9 +316,6 @@ class Clause:
     def is_bottom(self) -> bool:
         return not self.literals and not self.boxes and not self.diamonds
 
-    def component_count(self) -> int:
-        return len(self.literals) + len(self.boxes) + len(self.diamonds)
-
     def __str__(self):
         from .parser import render  # deferred: parser imports this module
 

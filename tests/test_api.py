@@ -18,11 +18,13 @@ REMOVED = (
     "default_tableau",
     "local_entails",
     "satisfiable",
+    "within_bounds",
 )
 
 # the Tableau's node_budget is the only tableau budget, the resolvent depth
-# cap is fixed, only the compiler shares clauses, and single_clause converts
-# at to_cnf's default budget
+# cap is fixed, only the compiler shares clauses, single_clause converts at
+# to_cnf's default budget, and the brute-force reference takes its
+# candidates, not the bounds of a space
 REMOVED_PARAMETERS = (
     (kprime.Tableau.satisfiable, "node_budget"),
     (kprime.Tableau.entails, "node_budget"),
@@ -36,6 +38,9 @@ REMOVED_PARAMETERS = (
     (kprime.single_clause, "clause_budget"),
     (kprime.to_cnf, "clause_budget"),
     (kprime.nnf, "negated"),
+    (kprime.prime_implicates_brute, "vocab"),
+    (kprime.prime_implicates_brute, "depth"),
+    (kprime.prime_implicates_brute, "width"),
 )
 
 

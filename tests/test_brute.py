@@ -11,8 +11,8 @@ from kprime import (
     make_cnf,
     prime_implicates,
     prime_implicates_brute,
-    within_bounds,
 )
+from kprime import brute
 from kprime.brute import MAX_CLAUSE_SPACE, _clause_space, _space_size
 from kprime.generators import random_kb
 from kprime.syntax import clause_key
@@ -71,18 +71,12 @@ def test_clause_space_over_the_cap_raises_before_building():
     assert info.value.limit == MAX_CLAUSE_SPACE
     assert info.value.reached > MAX_CLAUSE_SPACE
     assert str(MAX_CLAUSE_SPACE) in str(info.value)
-    with pytest.raises(ClauseBudgetExceeded):
-        prime_implicates_brute(make_cnf([cl("p")]), ("p", "q"), 2, 2)
 
 
 @pytest.mark.parametrize("depth, width", [(-1, 2), (1, -1)])
 def test_negative_bounds_raise_value_error(depth, width):
     with pytest.raises(ValueError, match="must not be negative"):
         enumerate_clauses(("p",), depth, width)
-    with pytest.raises(ValueError, match="must not be negative"):
-        within_bounds(cl("p"), ("p",), depth, width)
-    with pytest.raises(ValueError, match="must not be negative"):
-        prime_implicates_brute(make_cnf([cl("p")]), ("p",), depth, width)
 
 
 def test_width_zero_space_is_the_empty_clause_at_any_depth():
@@ -126,34 +120,48 @@ def test_enumeration_is_duplicate_free():
 
 
 def test_enumerated_clauses_stay_in_bounds():
-    for c in enumerate_clauses(("p", "q"), 1, 2):
-        assert within_bounds(c, ("p", "q"), 1, 2)
-    assert not within_bounds(cl("p | q | r"), ("p", "q", "r"), 0, 2)
-    assert not within_bounds(cl("[]p"), ("p",), 0, 2)
+    # a clause is within the bounds exactly when it is in the enumerated space
+    space = frozenset(enumerate_clauses(("p", "q"), 1, 2))
+    assert all(c in space for c in enumerate_clauses(("p", "q"), 1, 2))
+    assert cl("p | q | r") not in frozenset(enumerate_clauses(("p", "q", "r"), 0, 2))
+    assert cl("[]p") not in frozenset(enumerate_clauses(("p",), 0, 2))
+
+
+def test_each_call_builds_its_own_equal_space():
+    # brute keeps no cache of its own (clause_key, imported, is syntax's):
+    # a caller that reuses a space holds it
+    own = [obj for obj in vars(brute).values()
+           if getattr(obj, "__module__", None) == brute.__name__]
+    assert brute.enumerate_clauses in own
+    assert not [obj for obj in own if hasattr(obj, "cache_info")]
+    first, second = enumerate_clauses(("p", "q"), 1, 2), enumerate_clauses(("p", "q"), 1, 2)
+    assert tuple(first) == tuple(second)
 
 
 def test_brute_prime_implicates_propositional():
     u = make_cnf([cl("p"), cl("~p | q")])
-    assert prime_implicates_brute(u, ("p", "q"), 0, 2) == {cl("p"), cl("q")}
+    assert prime_implicates_brute(u, enumerate_clauses(("p", "q"), 0, 2)) == {cl("p"), cl("q")}
 
 
 def test_brute_prime_implicates_unit():
-    assert prime_implicates_brute(make_cnf([cl("p")]), ("p",), 0, 2) == {cl("p")}
+    space = enumerate_clauses(("p",), 0, 2)
+    assert prime_implicates_brute(make_cnf([cl("p")]), space) == {cl("p")}
 
 
 def test_brute_prime_implicates_contradiction():
     u = make_cnf([cl("p"), cl("~p")])
-    assert prime_implicates_brute(u, ("p",), 0, 2) == {BOTTOM_CLAUSE}
+    assert prime_implicates_brute(u, enumerate_clauses(("p",), 0, 2)) == {BOTTOM_CLAUSE}
 
 
 def test_pic_agrees_with_brute_on_random_kbs(rng, oracle):
+    space = frozenset(enumerate_clauses(("p", "q"), 1, 2))
     for _ in range(6):
         kb = random_kb(rng, ("p", "q"), rng.randint(1, 2), 1, 2)
         result = prime_implicates(kb, PicConfig(max_iterations=15, clause_budget=600))
         assert result.converged
-        brute = prime_implicates_brute(kb, ("p", "q"), 1, 2)
-        for b in brute:
+        reference = prime_implicates_brute(kb, space)
+        for b in reference:
             assert any(oracle.clause_entails(d, b) for d in result.prime_implicates)
         for d in result.prime_implicates:
-            if within_bounds(d, ("p", "q"), 1, 2):
-                assert any(oracle.clause_entails(b, d) for b in brute)
+            if d in space:
+                assert any(oracle.clause_entails(b, d) for b in reference)

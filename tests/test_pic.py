@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -148,7 +149,7 @@ def test_brute_reference_does_not_use_the_structural_check(monkeypatch):
     with pytest.raises(AssertionError, match="structural check called"):
         residue_detailed([cl("p"), cl("p | q")])  # the compiler's residue does use it
     kb = make_cnf([cl("p | q"), cl("~q")])
-    assert prime_implicates_brute(kb, ("p", "q"), 0, 2) == {cl("p"), cl("~q")}
+    assert prime_implicates_brute(kb, enumerate_clauses(("p", "q"), 0, 2)) == {cl("p"), cl("~q")}
 
 
 def test_subsumes_basics():
@@ -234,7 +235,8 @@ def test_prime_implicates_propositional():
     result = prime_implicates(u)
     assert result.converged
     assert result.prime_implicates == {cl("p"), cl("q")}
-    assert result.prime_implicates == prime_implicates_brute(u, ("p", "q"), 0, 2)
+    space = enumerate_clauses(("p", "q"), 0, 2)
+    assert result.prime_implicates == prime_implicates_brute(u, space)
 
 
 def test_prime_implicates_of_contradictory_kb():
@@ -416,7 +418,7 @@ def test_brute_prime_implicates_of_two_overlapping_boxes(monkeypatch):
         return clause_entails(d, c)
 
     monkeypatch.setattr(oracle, "clause_entails", recording)
-    pi = prime_implicates_brute(kb, ("p", "q", "r"), 1, 2, oracle)
+    pi = prime_implicates_brute(kb, enumerate_clauses(("p", "q", "r"), 1, 2), oracle)
     assert [str(c) for c in sorted(pi, key=clause_order)] == [
         "[](p | q)", "[](p | r)", "([]p | <>(q & r))"]
     # the oracle keeps the conversions of the KB and of the implicates the
@@ -506,6 +508,41 @@ def test_traced_compiles_do_not_depend_on_the_hash_seed():
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout.strip())
     assert len(digests) == 1
+
+
+_BUDGET_SEED_SCRIPT = """
+import json, sys
+from kprime import (BudgetExceeded, EntailmentOracle, Tableau, make_cnf, parse,
+                    prime_implicates, single_clause)
+outcomes = []
+for texts in json.loads(sys.argv[1]):
+    kb = make_cnf(single_clause(parse(t)) for t in texts)
+    for nodes in (20, 30):
+        try:
+            result = prime_implicates(kb, oracle=EntailmentOracle(Tableau(node_budget=nodes)))
+        except BudgetExceeded as e:
+            outcomes.append([type(e).__name__, e.stage, e.reached, e.limit])
+        else:
+            outcomes.append(result.to_json())
+print(json.dumps(outcomes))
+"""
+
+
+def test_budget_verdicts_do_not_depend_on_the_hash_seed():
+    # which tableau searches the residue runs, and so where a node budget
+    # stops the compile, must not follow the hash order of set members
+    kbs = [BUDGET_KB, ("[]p", "[](p | []q)",
+                       "<>(~p | <>((p | q) & (~p | ~q)) | <>((~p | q) & (~p | q | ~q)))")]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pic.__file__)))
+    outcomes = []
+    for hash_seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _BUDGET_SEED_SCRIPT, json.dumps(kbs)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outcomes.append(proc.stdout)
+    assert len(set(outcomes)) == 1, outcomes
 
 
 def _compile_outcome(kb, config, trace=False, oracle=None):

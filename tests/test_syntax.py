@@ -31,7 +31,6 @@ from kprime import (
     subsumes,
     subsumption_reduce,
     variables,
-    within_bounds,
 )
 from kprime.generators import random_clause, random_formula
 from kprime.pic import entails_structurally
@@ -176,7 +175,6 @@ DEEP_INPUT_CALLS = {
     "entails_structurally": lambda: entails_structurally(_deep_clause(), _deep_clause()),
     "entails_structurally_diamonds": lambda: entails_structurally(
         _deep_diamond_clause(), _deep_diamond_clause()),
-    "within_bounds": lambda: within_bounds(_deep_clause(), ("p",), 6000, 1),
     "eq_clause": lambda: _deep_clause() == _deep_clause(),
     "repr_clause": lambda: repr(_deep_clause()),
 }
